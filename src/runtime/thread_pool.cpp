@@ -10,9 +10,14 @@
 namespace parulel {
 
 /// A fork-join batch: a vector of jobs plus a next-job cursor and a
-/// completion latch. Lives on the submitting thread's stack.
+/// completion latch. Owned jointly by the submitter and every worker
+/// that picked it up (through `current_`), so a worker that wakes after
+/// the batch drained still touches live memory. `jobs` belongs to the
+/// submitter and is only dereferenced for an index below `n`: such an
+/// index is still pending, so the submitter is still waiting.
 struct ThreadPool::Batch {
   const std::vector<std::function<void(unsigned)>>* jobs = nullptr;
+  std::size_t n = 0;
   ThreadPool::WorkerStat* worker_stats = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
@@ -21,13 +26,11 @@ struct ThreadPool::Batch {
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
-  // Returns true when this call completed the final job.
-  bool run_some(unsigned worker_id) {
-    const std::size_t n = jobs->size();
+  void run_some(unsigned worker_id) {
     WorkerStat& stat = worker_stats[worker_id];
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return false;
+      if (i >= n) return;
       const Timer job_timer;
       try {
         (*jobs)[i](worker_id);
@@ -41,7 +44,7 @@ struct ThreadPool::Batch {
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
         std::scoped_lock lock(done_mutex);
         done_cv.notify_all();
-        return true;
+        return;
       }
     }
   }
@@ -90,24 +93,19 @@ unsigned ThreadPool::default_threads() {
 }
 
 void ThreadPool::worker_loop(unsigned worker_id) {
+  std::uint64_t seen = 0;  // generation of the last batch this worker ran
   for (;;) {
-    Batch* batch = nullptr;
+    std::shared_ptr<Batch> batch;
     {
       std::unique_lock lock(mutex_);
-      work_ready_.wait(lock,
-                       [this] { return shutting_down_ || current_ != nullptr; });
+      work_ready_.wait(lock, [this, seen] {
+        return shutting_down_ || (current_ && generation_ != seen);
+      });
       if (shutting_down_) return;
+      seen = generation_;
       batch = current_;
     }
     batch->run_some(worker_id);
-    // Park again; the submitter clears current_ once the batch drains.
-    {
-      std::unique_lock lock(mutex_);
-      work_ready_.wait(lock, [this, batch] {
-        return shutting_down_ || current_ != batch;
-      });
-      if (shutting_down_) return;
-    }
   }
 }
 
@@ -127,30 +125,33 @@ void ThreadPool::run_batch(
     return;
   }
 
-  Batch batch;
-  batch.jobs = &jobs;
-  batch.worker_stats = worker_stats_.get();
+  const auto batch = std::make_shared<Batch>();
+  batch->jobs = &jobs;
+  batch->n = jobs.size();
+  batch->worker_stats = worker_stats_.get();
   {
     std::scoped_lock lock(mutex_);
     assert(current_ == nullptr && "nested batches are not supported");
-    current_ = &batch;
+    current_ = batch;
+    ++generation_;
   }
   work_ready_.notify_all();
 
-  batch.run_some(0);  // The caller is worker 0.
+  batch->run_some(0);  // The caller is worker 0.
   {
-    std::unique_lock lock(batch.done_mutex);
-    batch.done_cv.wait(lock, [&batch, &jobs] {
-      return batch.done.load(std::memory_order_acquire) == jobs.size();
+    std::unique_lock lock(batch->done_mutex);
+    batch->done_cv.wait(lock, [&batch] {
+      return batch->done.load(std::memory_order_acquire) == batch->n;
     });
   }
   {
+    // Workers park on the generation, so retiring the batch needs no
+    // wake-up; a worker still inside it keeps it alive by its own copy.
     std::scoped_lock lock(mutex_);
-    current_ = nullptr;
+    current_.reset();
   }
-  work_ready_.notify_all();
 
-  if (batch.first_error) std::rethrow_exception(batch.first_error);
+  if (batch->first_error) std::rethrow_exception(batch->first_error);
 }
 
 void ThreadPool::parallel_for(

@@ -85,7 +85,13 @@ class ThreadPool {
 
   // The currently executing batch, if any. Only one batch runs at a time
   // (engine phases are sequential); workers pull chunk indices from it.
-  Batch* current_ = nullptr;
+  // Shared so that a worker still inside a drained batch keeps it alive
+  // after the submitter has returned.
+  std::shared_ptr<Batch> current_;
+  // Bumped once per published batch; a worker runs a batch only if its
+  // generation differs from the last one it ran, so a new batch is never
+  // mistaken for the previous one.
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace parulel

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -98,6 +99,22 @@ TEST(ThreadPool, LargeFanOutCompletes) {
   pool.parallel_for(0, 200000,
                     [&](std::size_t i, unsigned) { sum += i; });
   EXPECT_EQ(sum.load(), 200000ull * 199999ull / 2);
+}
+
+// Many short batches back to back on fresh pools: a worker that wakes
+// late must never touch a batch the submitter has already retired, and
+// must never sleep through a new batch.
+TEST(ThreadPool, BackToBackBatchesOnFreshPools) {
+  constexpr int kPools = 10;
+  constexpr int kBatches = 20000;
+  for (int p = 0; p < kPools; ++p) {
+    ThreadPool pool(4);
+    std::atomic<std::uint64_t> sum{0};
+    for (int b = 0; b < kBatches; ++b) {
+      pool.parallel_for(0, 8, [&](std::size_t i, unsigned) { sum += i; });
+    }
+    ASSERT_EQ(sum.load(), static_cast<std::uint64_t>(kBatches) * 28u);
+  }
 }
 
 TEST(ThreadPool, DefaultThreadsPositive) {

@@ -14,7 +14,11 @@
 // determinism, concurrent multi-session ingestion, idle eviction.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -518,9 +522,15 @@ TEST(Service, ConcurrentSubmittersConverge) {
 // -------------------------------------------------- serve line protocol
 
 TEST(Serve, ScriptedSessionIsDeterministic) {
+  // A per-process file: test binaries running side by side must not
+  // truncate each other's program.
+  char path[] = "/tmp/parulel_serve_test_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
   const std::string script =
       "# a scripted session over the copy program\n"
-      "open s /tmp/parulel_serve_test.clp\n"
+      "open s " + std::string(path) + "\n"
       "assert s item 1\n"
       "assert s item 2\n"
       "run s\n"
@@ -529,7 +539,7 @@ TEST(Serve, ScriptedSessionIsDeterministic) {
       "close s\n"
       "quit\n";
   {
-    std::ofstream out("/tmp/parulel_serve_test.clp");
+    std::ofstream out(path);
     out << kCopySource;
   }
   std::string first, second;
@@ -539,6 +549,7 @@ TEST(Serve, ScriptedSessionIsDeterministic) {
     EXPECT_EQ(serve(in, out), 0);
     *target = out.str();
   }
+  std::remove(path);
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("ok run cycles=1 firings=2"), std::string::npos)
       << first;
