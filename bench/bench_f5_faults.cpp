@@ -2,18 +2,20 @@
 //
 // The PARULEL/PARADISER target environment — networks of workstations —
 // makes loss and site failure routine; this bench measures what the
-// reliable routing layer pays for surviving them, and verifies along
-// the way that every faulted run still reaches the fault-free fixpoint.
+// site protocol (site_core.hpp) pays for surviving them, and verifies
+// along the way that every faulted run still reaches the fault-free
+// fixpoint.
 //
 // Part A: message amplification vs injected loss rate. Amplification is
 // transmission attempts over unique routed ops (sent / messages) — the
 // retransmission tax. Expected shape: ~1.0 at zero loss, growing
 // roughly like 1/(1-loss) plus ack-timeout overshoot as loss climbs.
 //
-// Part B: recovery overhead vs checkpoint interval, under a fixed
-// mid-run crash. Sparser checkpoints mean more re-derivation after
-// restore (more extra cycles vs the fault-free run) but fewer snapshot
-// captures; the sweep exposes that trade.
+// Part B: recovery overhead vs checkpoint interval (site WAL batches
+// per snapshot rewrite), under a fixed mid-run crash. Recovery replays
+// the crashed site's WAL, which holds everything the site applied
+// whatever the interval: the interval sets how often snapshots fold
+// the log, not how much work the crash loses.
 #include <vector>
 
 #include "bench_util.hpp"
@@ -96,8 +98,9 @@ int main() {
                   {{"loss_rate", loss}, {"amplification", amplification}});
   }
 
-  std::printf("\nPart B: recovery overhead vs checkpoint interval\n"
-              "(crash: site 1 at cycle 3 for 3 cycles; loss=0.05)\n");
+  std::printf("\nPart B: recovery overhead vs checkpoint interval (WAL\n"
+              "batches per snapshot; crash: site 1 at cycle 3 for 3 cycles;\n"
+              "loss=0.05)\n");
   std::printf("%10s %8s %8s %10s %10s %10s\n", "ckpt-int", "cycles",
               "extra", "ckpts", "restores", "retries");
   for (const std::uint64_t interval : {1u, 2u, 4u, 8u}) {

@@ -236,8 +236,8 @@ const FlagSpec kFlags[] = {
      "crash=1@5+4",
      [](Options& o, const std::string& v) { o.fault_plan_spec = v; }},
     {"--checkpoint-every", "N", kRun,
-     "dist: snapshot sites every N cycles; cluster: WAL batches per "
-     "snapshot rewrite",
+     "dist and cluster: site WAL batches per snapshot rewrite (dist "
+     "journals only when N > 0 or the fault plan crashes a site)",
      [](Options& o, const std::string& v) {
        o.checkpoint_every = parse_count("--checkpoint-every", v);
      }},

@@ -1,15 +1,13 @@
-// Site checkpoints: the durable state a crashed site restarts from.
+// Checkpoint state: a site's alive facts plus its receive-side dedup
+// state, and the content-only snapshot a Session restores from.
 //
-// A checkpoint captures everything a site needs to rejoin the run
-// consistently: its alive working-memory facts and, per incoming
-// channel, exactly which (epoch, sequence-number) messages it had
-// applied. On restore the engine rebuilds a fresh WorkingMemory from
-// the snapshot (the full fact set lands in the pending delta, so the
-// rebuilt matcher re-derives the site's conflict set on the next
-// cycle), reinstates the receive-side dedup state, and asks peers to
-// retransmit every retained message not yet covered by the snapshot —
-// the "replay the inbox from the checkpointed sequence number" half of
-// the recovery protocol (see dist_engine.cpp, reliable routing).
+// AppliedSeqs / ChannelRecvState record exactly which (sender, epoch,
+// sequence-number) messages a site has applied; the site core dedups
+// against them and its WAL snapshots carry them (site_core.hpp,
+// site_journal.hpp). A SiteCheckpoint captures alive fact contents plus
+// that state; restore_working_memory rebuilds a fresh WorkingMemory from
+// it (the full fact set lands in the pending delta, so a rebuilt
+// matcher re-derives the conflict set on the next cycle).
 #pragma once
 
 #include <cstdint>

@@ -93,7 +93,7 @@ void ClusterDriver::spawn_site(unsigned id) {
   }
   if (pid == 0) {
     ::execv(argv[0], argv.data());
-    ::_exit(127);  // exec failed; the parent sees a join timeout
+    ::_exit(127);  // exec failed; wait_for_join reaps it and reports
   }
   sites_[id].pid = pid;
   ++stats_.spawns;
@@ -164,7 +164,7 @@ bool ClusterDriver::try_accept_joins(int timeout_ms) {
     // Force at least one full barrier round before this site's report
     // can contribute to a quiescence verdict — a recovered site owes
     // its refires first.
-    site.fired = 1;
+    site.report.fired = 1;
     joined = true;
     if (cfg_.log) {
       *cfg_.log << "cluster: site " << id << " joined (epoch " << epoch
@@ -180,8 +180,21 @@ void ClusterDriver::wait_for_join(unsigned id) {
   Timer deadline;
   const std::uint64_t limit_ns =
       static_cast<std::uint64_t>(cfg_.join_timeout_s) * 1'000'000'000ull;
-  while (!sites_[id].up) {
+  SiteProc& site = sites_[id];
+  while (!site.up) {
     try_accept_joins(100);
+    if (site.up) break;
+    int status = 0;
+    if (site.pid >= 0 && ::waitpid(site.pid, &status, WNOHANG) > 0) {
+      // A site that exits before joining never will: fail now, not at
+      // the join timeout.
+      site.pid = -1;
+      throw RuntimeError(
+          "site " + std::to_string(id) + " exited (status " +
+          std::to_string(WIFEXITED(status) ? WEXITSTATUS(status)
+                                           : 128 + WTERMSIG(status)) +
+          ") before joining");
+    }
     if (cfg_.spawn && deadline.elapsed_ns() > limit_ns) {
       throw RuntimeError("site " + std::to_string(id) +
                          " did not join within " +
@@ -318,10 +331,10 @@ bool ClusterDriver::barrier_round(std::uint64_t cycle) {
       all_answered = false;
       continue;
     }
-    site.fired = wire_field_u64(reply, "fired");
-    site.applied = wire_field_u64(reply, "applied");
-    site.pending = wire_field_u64(reply, "pending");
-    site.inbox = wire_field_u64(reply, "inbox");
+    site.report.fired = wire_field_u64(reply, "fired");
+    site.report.applied = wire_field_u64(reply, "applied");
+    site.report.pending = wire_field_u64(reply, "pending");
+    site.report.inbox = wire_field_u64(reply, "inbox");
     site.halted = wire_field_u64(reply, "halted") != 0;
     site.live.sent = wire_field_u64(reply, "sent");
     site.live.applied = wire_field_u64(reply, "applied-total");
@@ -391,15 +404,12 @@ ClusterOutcome ClusterDriver::run() {
     }
     if (halted_) break;
 
-    bool quiescent = true;
+    std::vector<SiteReport> reports;
     for (const SiteProc& site : sites_) {
-      if (!site.up || site.fired || site.applied || site.pending ||
-          site.inbox) {
-        quiescent = false;
-        break;
-      }
+      reports.push_back(site.report);
+      reports.back().up = site.up;
     }
-    if (quiescent) {
+    if (sites_quiescent(reports)) {
       outcome.quiescent = true;
       break;
     }

@@ -12,11 +12,10 @@
 // every live site, one recognize-act cycle each, `barrier-done` back
 // with the counters termination detection sums.
 //
-// Termination: the cluster is quiescent when every site is up and one
-// barrier round reports zero firings, zero applies, zero unacked or
-// delayed sends, and empty inboxes everywhere — pending=0 means
-// everything ever sent is applied AND durable at its receiver
-// (ack-after-durable), so nothing in flight can reignite the run.
+// Termination: the cluster is quiescent when one barrier round's
+// reports satisfy sites_quiescent (site_core.hpp) — the predicate the
+// in-process simulator uses too: every site up, zero firings, zero
+// applies, zero unacked or delayed sends, and empty inboxes everywhere.
 //
 // Chaos: FaultPlan crash entries become real SIGKILLs delivered at the
 // scheduled barrier boundary; the site is respawned `down_cycles`
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "distrib/faults.hpp"
+#include "distrib/site_core.hpp"
 #include "lang/program.hpp"
 #include "net/cluster.hpp"
 #include "obs/stats.hpp"
@@ -101,8 +101,7 @@ class ClusterDriver {
     std::uint32_t epoch = 0;  ///< highest epoch this id has presented
     bool up = false;
     std::uint64_t down_until = 0;  ///< respawn barrier while killed
-    // Last barrier-done report.
-    std::uint64_t fired = 0, applied = 0, pending = 0, inbox = 0;
+    SiteReport report;  ///< last barrier-done report (report.up = up)
     bool halted = false;
     // Cumulative counters from the last report (retired into stats_
     // when the incarnation dies, so totals survive kills).

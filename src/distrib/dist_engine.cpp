@@ -1,91 +1,25 @@
 #include "distrib/dist_engine.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "distrib/checkpoint.hpp"
 #include "obs/report.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace parulel {
 
-namespace {
-
-// Retransmission backoff, in simulated cycles. A message sent at cycle
-// c is drained (and acked) at c+1, so the first timeout fires at c+2;
-// the backoff doubles per retry up to the cap, bounding the retry storm
-// a long outage can cause while keeping recovery latency low.
-constexpr std::uint64_t kInitialBackoff = 2;
-constexpr std::uint64_t kMaxBackoff = 16;
-
-}  // namespace
-
-/// A content-addressed cross-site operation. Retracts carry content, not
-/// ids — fact ids are site-local. The routing metadata (from/epoch/seq)
-/// is stamped only on the reliable path; the fast path ignores it.
-struct DistributedEngine::Message {
-  enum class Kind : std::uint8_t { Assert, Retract };
-  Kind kind = Kind::Assert;
-  TemplateId tmpl = kInvalidTemplate;
-  std::vector<Value> slots;
-
-  unsigned from = 0;        ///< sender site
-  std::uint32_t epoch = 0;  ///< sender incarnation when sent
-  std::uint64_t seq = 0;    ///< per (from, to, epoch) sequence number
-};
-
-/// One sent-but-not-yet-stable message on a sender's channel. Retained
-/// until the receiver checkpoints its effects (pruned then); `acked`
-/// only stops retransmission — an acked entry must still be replayed if
-/// the receiver crashes before its next checkpoint.
-struct DistributedEngine::OutEntry {
-  Message msg;
-  bool acked = false;
-  std::uint64_t next_retry = 0;
-  std::uint64_t backoff = kInitialBackoff;
-};
-
-/// A delayed message in flight: delivered (or dropped, if the target is
-/// down) once `due` arrives.
-struct DistributedEngine::InFlight {
-  std::uint64_t due = 0;
-  unsigned to = 0;
-  Message msg;
-};
-
 struct DistributedEngine::Site {
-  /// Send side of one directed channel. Wiped by a crash of the sender —
-  /// the replacement incarnation starts a fresh sequence stream under a
-  /// new epoch, so stale seqs can never collide.
-  struct ChannelOut {
-    std::uint64_t next_seq = 1;
-    std::map<std::uint64_t, OutEntry> pending;
-  };
-
-  explicit Site(const Program& program)
-      : wm(std::make_unique<WorkingMemory>(program.schema)),
-        matcher(make_matcher(MatcherKind::Treat, program)) {}
-
-  std::unique_ptr<WorkingMemory> wm;
-  std::unique_ptr<Matcher> matcher;
-  std::vector<Message> inbox;
-  std::vector<PendingOps> pending;  ///< this cycle's buffered firings
-  std::uint64_t firings = 0;
-  std::uint64_t busy_ns = 0;        ///< this cycle's compute time
-  std::uint64_t redactions_this_cycle = 0;
-  bool work_done_this_cycle = false;
-
-  // --- reliability state (used only under reliable routing) ---
-  std::uint32_t epoch = 1;          ///< incarnation; bumped per restart
-  bool down = false;
-  std::uint64_t down_until = 0;     ///< restart cycle while down
-  std::vector<ChannelRecvState> recv;  ///< per sender: applied seqs
-  std::vector<ChannelOut> out;         ///< per destination
-  SiteCheckpoint checkpoint;           ///< last durable snapshot
+  /// The live incarnation; while down, an empty placeholder core stands
+  /// in (a crash loses working memory, matcher, inbox and held sends).
+  std::unique_ptr<SiteCore> core;
+  bool up = true;
+  std::uint64_t down_until = 0;   ///< restart cycle while down
+  std::vector<std::string> wal;   ///< in-memory WAL record payloads
+  SiteCounters retired;           ///< counters of dead incarnations
+  SiteOutput out;                 ///< this cycle's outputs
+  std::uint64_t busy_ns = 0;      ///< this cycle's core time
 };
 
 DistributedEngine::DistributedEngine(const Program& program,
@@ -115,348 +49,111 @@ DistributedEngine::DistributedEngine(const Program& program,
   const unsigned threads =
       config_.threads == 0 ? config_.sites : config_.threads;
   pool_ = std::make_unique<ThreadPool>(threads);
+  journaling_ =
+      !config_.faults.crashes.empty() || config_.checkpoint_every > 0;
+  crash_done_.assign(config_.faults.crashes.size(), false);
   sites_.reserve(config_.sites);
   for (unsigned s = 0; s < config_.sites; ++s) {
-    sites_.push_back(std::make_unique<Site>(program_));
-  }
-
-  reliable_ = config_.faults.enabled() || config_.checkpoint_every > 0;
-  if (reliable_) {
-    if (config_.faults.any_network_faults()) {
-      injector_ = std::make_unique<FaultInjector>(config_.faults);
-    }
-    crash_done_.assign(config_.faults.crashes.size(), false);
-    for (auto& site : sites_) {
-      site->recv.resize(config_.sites);
-      site->out.resize(config_.sites);
-    }
+    sites_.push_back(std::make_unique<Site>());
+    sites_[s]->core = make_core(s);
   }
 }
 
 DistributedEngine::~DistributedEngine() = default;
 
+std::unique_ptr<SiteCore> DistributedEngine::make_core(unsigned site) const {
+  return std::make_unique<SiteCore>(
+      program_, scheme_, meta_,
+      SiteCoreOptions{site, config_.sites, config_.faults,
+                      config_.checkpoint_every, journaling_});
+}
+
 const WorkingMemory& DistributedEngine::site_wm(unsigned site) const {
-  return *sites_[site]->wm;
+  return sites_[site]->core->wm();
 }
 
 void DistributedEngine::assert_initial_facts() {
-  for (const auto& fact : program_.initial_facts) {
-    if (scheme_.replicated(fact.tmpl)) {
-      for (auto& site : sites_) {
-        site->wm->assert_fact(fact.tmpl, fact.slots);
-      }
-    } else {
-      const unsigned owner =
-          scheme_.site_of(fact.tmpl, fact.slots, config_.sites);
-      sites_[owner]->wm->assert_fact(fact.tmpl, fact.slots);
-    }
+  for (auto& site : sites_) {
+    site->core->assert_initial_facts();
+    write_wal(*site, site->core->take_output().journal);
   }
 }
 
-// ------------------------------------------------ reliable routing layer
-
-void DistributedEngine::transmit(OutEntry& entry, unsigned to,
-                                 DistStats& stats) {
-  auto& f = stats.faults;
-  ++f.sent;
-  Site& dest = *sites_[to];
-  const FaultVerdict v = injector_ ? injector_->roll() : FaultVerdict{};
-  if (dest.down || v.drop) {
-    // Lost on the wire (or the target isn't listening). The sender only
-    // learns by ack timeout; the entry stays pending for retransmission.
-    ++f.dropped;
-  } else if (v.delay > 0) {
-    ++f.delayed;
-    in_flight_.push_back({now_ + 1 + v.delay, to, entry.msg});
-  } else {
-    ++f.delivered;
-    dest.inbox.push_back(entry.msg);
-    if (v.duplicate) {
-      ++f.sent;
-      ++f.delivered;
-      dest.inbox.push_back(entry.msg);
-    }
-  }
-  entry.next_retry = now_ + entry.backoff;
-}
-
-void DistributedEngine::send_reliable(unsigned from, unsigned to,
-                                      Message msg, DistStats& stats) {
-  Site& sender = *sites_[from];
-  Site::ChannelOut& ch = sender.out[to];
-  msg.from = from;
-  msg.epoch = sender.epoch;
-  msg.seq = ch.next_seq++;
-  OutEntry entry;
-  entry.msg = std::move(msg);
-  transmit(entry, to, stats);
-  ch.pending.emplace(entry.msg.seq, std::move(entry));
-}
-
-void DistributedEngine::resolve_in_flight(DistStats& stats) {
-  if (in_flight_.empty()) return;
-  std::vector<InFlight> keep;
-  keep.reserve(in_flight_.size());
-  for (auto& flight : in_flight_) {
-    if (flight.due > now_) {
-      keep.push_back(std::move(flight));
-      continue;
-    }
-    Site& dest = *sites_[flight.to];
-    if (dest.down) {
-      ++stats.faults.dropped;  // arrived at a dead site; retry covers it
-    } else {
-      ++stats.faults.delivered;
-      dest.inbox.push_back(std::move(flight.msg));
-    }
-  }
-  in_flight_.swap(keep);
-}
-
-void DistributedEngine::drain_inbox_reliable(unsigned site_idx,
-                                             DistStats& stats) {
-  Site& site = *sites_[site_idx];
-  for (auto& msg : site.inbox) {
-    AppliedSeqs& applied = site.recv[msg.from].by_epoch[msg.epoch];
-    if (applied.contains(msg.seq)) {
-      ++stats.faults.dup_suppressed;
-    } else {
-      applied.add(msg.seq);
-      ++stats.faults.applied;
-      if (msg.kind == Message::Kind::Assert) {
-        site.wm->assert_fact(msg.tmpl, std::move(msg.slots));
-      } else if (auto id = site.wm->find(msg.tmpl, msg.slots)) {
-        site.wm->retract(*id);
-      }
-    }
-    // Ack, piggybacked on the cycle barrier: stop the sender's
-    // retransmission. Duplicates re-ack — the earlier ack may have
-    // predated a retransmit. Ignored if the sender restarted since
-    // (epoch mismatch): its replacement stream owns those seqs now.
-    Site& sender = *sites_[msg.from];
-    if (!sender.down && sender.epoch == msg.epoch) {
-      auto it = sender.out[site_idx].pending.find(msg.seq);
-      if (it != sender.out[site_idx].pending.end()) it->second.acked = true;
-    }
-  }
-  site.inbox.clear();
-}
-
-void DistributedEngine::retransmit_due(DistStats& stats) {
-  for (unsigned s = 0; s < sites_.size(); ++s) {
-    Site& sender = *sites_[s];
-    if (sender.down) continue;
-    for (unsigned to = 0; to < sites_.size(); ++to) {
-      for (auto& [seq, entry] : sender.out[to].pending) {
-        if (entry.acked || now_ < entry.next_retry) continue;
-        ++stats.faults.retries;
-        entry.backoff = std::min(entry.backoff * 2, kMaxBackoff);
-        transmit(entry, to, stats);
-      }
-    }
+void DistributedEngine::write_wal(Site& site,
+                                  std::vector<SiteJournalWrite> writes) {
+  for (SiteJournalWrite& w : writes) {
+    if (w.snapshot) site.wal.clear();
+    site.wal.push_back(std::move(w.payload));
   }
 }
 
-void DistributedEngine::take_checkpoint(unsigned site_idx,
-                                        DistStats& stats) {
-  Site& site = *sites_[site_idx];
-  site.checkpoint = capture_checkpoint(now_, *site.wm, site.recv);
-  ++stats.faults.checkpoints;
-  // Everything acked (hence applied) at this site is now durable:
-  // senders can forget it. Unacked entries stay retained for replay.
-  for (auto& sender : sites_) {
-    std::erase_if(sender->out[site_idx].pending,
-                  [](const auto& kv) { return kv.second.acked; });
-  }
-}
-
-void DistributedEngine::crash_site(unsigned site_idx,
-                                   std::uint64_t down_cycles,
-                                   DistStats& stats) {
-  Site& site = *sites_[site_idx];
-  site.down = true;
-  site.down_until = now_ + std::max<std::uint64_t>(1, down_cycles);
-  // Volatile state dies with the process: working memory, matcher,
-  // undrained inbox, unfired pending ops, and both channel directions.
-  stats.faults.wiped += site.inbox.size();
-  site.inbox.clear();
-  site.pending.clear();
-  site.wm = std::make_unique<WorkingMemory>(program_.schema);
-  site.matcher = make_matcher(MatcherKind::Treat, program_);
-  site.recv.assign(config_.sites, ChannelRecvState{});
-  site.out.assign(config_.sites, Site::ChannelOut{});
-  site.busy_ns = 0;
-  site.redactions_this_cycle = 0;
-  site.work_done_this_cycle = false;
-  ++stats.faults.crashes;
-}
-
-void DistributedEngine::restore_site(unsigned site_idx, DistStats& stats) {
-  Site& site = *sites_[site_idx];
-  site.down = false;
-  site.down_until = 0;
-  // New incarnation: a fresh sequence stream that can't collide with
-  // seqs the old incarnation handed out before dying.
-  site.epoch += 1;
-  site.wm = restore_working_memory(program_.schema, site.checkpoint);
-  site.matcher = make_matcher(MatcherKind::Treat, program_);
-  site.recv = site.checkpoint.recv;
-  if (site.recv.size() != config_.sites) site.recv.resize(config_.sites);
-  site.out.assign(config_.sites, Site::ChannelOut{});
-  ++stats.faults.restores;
-  // Inbox replay: every message a peer retained (not yet covered by our
-  // checkpoint) is retransmitted from the recorded sequence state on.
-  // Acked-but-unpruned entries were applied only to the state we just
-  // lost, so they go back on the wire too; the restored dedup state
-  // suppresses any the checkpoint did cover.
-  for (unsigned s = 0; s < sites_.size(); ++s) {
-    if (s == site_idx) continue;
-    Site& peer = *sites_[s];
-    if (peer.down) continue;
-    for (auto& [seq, entry] : peer.out[site_idx].pending) {
-      entry.acked = false;
-      entry.backoff = kInitialBackoff;
-      entry.next_retry = now_;  // retransmit this cycle
-    }
-  }
-}
+// ------------------------------------------------------- crash timeline
 
 void DistributedEngine::process_fault_timeline(DistStats& stats) {
-  for (unsigned s = 0; s < sites_.size(); ++s) {
-    if (sites_[s]->down && now_ >= sites_[s]->down_until) {
-      restore_site(s, stats);
-    }
-  }
+  // Crashes first, then restarts — the cluster driver's order: kill -9
+  // at the barrier boundary, then respawn whoever is due.
   for (std::size_t i = 0; i < config_.faults.crashes.size(); ++i) {
     const FaultPlan::Crash& crash = config_.faults.crashes[i];
     if (crash_done_[i] || crash.at_cycle != now_) continue;
     crash_done_[i] = true;
-    if (!sites_[crash.site]->down) {
-      crash_site(crash.site, crash.down_cycles, stats);
-    }
+    Site& site = *sites_[crash.site];
+    if (!site.up) continue;
+    // Volatile state dies with the process: the undrained inbox and the
+    // delayed sends the core still held never reach anyone.
+    stats.faults.wiped += site.core->inbox_size();
+    stats.faults.dropped += site.core->held_sends();
+    site.retired += site.core->counters();
+    site.core = make_core(crash.site);
+    site.up = false;
+    site.down_until = now_ + std::max<std::uint64_t>(1, crash.down_cycles);
+    ++stats.faults.crashes;
   }
-}
-
-bool DistributedEngine::reliable_work_pending() const {
-  if (!in_flight_.empty()) return true;
-  for (const auto& site : sites_) {
-    if (site->down) return true;
-    for (const auto& ch : site->out) {
-      for (const auto& [seq, entry] : ch.pending) {
-        if (!entry.acked) return true;
-      }
-    }
-  }
-  return false;
-}
-
-// ----------------------------------------------------------- routing
-
-void DistributedEngine::route_op(unsigned from_site, const PendingOp& op,
-                                 const WorkingMemory& from_wm,
-                                 DistStats& stats) {
-  auto deliver = [&](unsigned to, Message msg) {
-    if (to == from_site) {
-      // Local: apply immediately, preserving op order at this site.
-      // Loopback never traverses the network, so no faults apply.
-      auto& wm = *sites_[to]->wm;
-      if (msg.kind == Message::Kind::Assert) {
-        wm.assert_fact(msg.tmpl, std::move(msg.slots));
-      } else if (auto id = wm.find(msg.tmpl, msg.slots)) {
-        wm.retract(*id);
-      }
-    } else if (!reliable_) {
-      sites_[to]->inbox.push_back(std::move(msg));
-      ++stats.messages;
-    } else {
-      send_reliable(from_site, to, std::move(msg), stats);
-      ++stats.messages;
-    }
-  };
-
-  auto route_content = [&](Message msg) {
-    if (scheme_.replicated(msg.tmpl)) {
-      ++stats.broadcasts;
-      for (unsigned s = 0; s < config_.sites; ++s) deliver(s, msg);
-    } else {
-      // Compute the owner before moving: argument evaluation order
-      // would otherwise be allowed to gut msg.slots first.
-      const unsigned owner =
-          scheme_.site_of(msg.tmpl, msg.slots, config_.sites);
-      deliver(owner, std::move(msg));
-    }
-  };
-
-  switch (op.kind) {
-    case PendingOp::Kind::Assert: {
-      Message msg;
-      msg.kind = Message::Kind::Assert;
-      msg.tmpl = op.tmpl;
-      msg.slots = op.slots;
-      route_content(std::move(msg));
-      break;
-    }
-    case PendingOp::Kind::Retract: {
-      const FactView fact = from_wm.view(op.retract_id);
-      Message msg;
-      msg.kind = Message::Kind::Retract;
-      msg.tmpl = fact.tmpl();
-      msg.slots = fact.copy_slots();
-      route_content(std::move(msg));
-      break;
-    }
-    case PendingOp::Kind::Modify: {
-      const FactView fact = from_wm.view(op.retract_id);
-      Message retract;
-      retract.kind = Message::Kind::Retract;
-      retract.tmpl = fact.tmpl();
-      retract.slots = fact.copy_slots();
-      route_content(std::move(retract));
-      Message assert_msg;
-      assert_msg.kind = Message::Kind::Assert;
-      assert_msg.tmpl = op.tmpl;
-      assert_msg.slots = op.slots;
-      route_content(std::move(assert_msg));
-      break;
-    }
+  for (unsigned s = 0; s < sites_.size(); ++s) {
+    Site& site = *sites_[s];
+    if (site.up || now_ < site.down_until) continue;
+    site.core->recover(replay_site_records(site.wal, program_, config_.sites,
+                                           "site-" + std::to_string(s)));
+    write_wal(site, site.core->take_output().journal);
+    site.up = true;
+    ++stats.faults.restores;
   }
 }
 
 // ------------------------------------------------------------- cycle
 
-bool DistributedEngine::cycle(DistStats& stats) {
-  now_ = stats.run.cycles;
-  if (reliable_) {
-    // Phase 0: the fault timeline — restarts first (a site scheduled to
-    // restart this cycle participates in it), then crashes; then any
-    // delayed deliveries falling due.
-    process_fault_timeline(stats);
-    resolve_in_flight(stats);
+void DistributedEngine::deliver_output(unsigned from, DistStats& stats,
+                                       CycleStats& cycle) {
+  Site& site = *sites_[from];
+  SiteOutput& out = site.out;
+  write_wal(site, std::move(out.journal));
+  for (const SiteAck& ack : out.acks) {
+    Site& sender = *sites_[ack.to];
+    if (sender.up) sender.core->on_ack(from, ack.epoch, ack.seqs);
   }
-
-  // Phase 1 (sequential, ordered): drain inboxes.
-  bool any_inbox = false;
-  for (unsigned s = 0; s < sites_.size(); ++s) {
-    Site& site = *sites_[s];
-    if (site.inbox.empty()) continue;
-    any_inbox = true;
-    if (reliable_) {
-      drain_inbox_reliable(s, stats);
+  for (SiteSend& send : out.sends) {
+    Site& dest = *sites_[send.to];
+    if (!dest.up) {
+      ++stats.faults.dropped;  // the target isn't listening
       continue;
     }
-    for (auto& msg : site.inbox) {
-      if (msg.kind == Message::Kind::Assert) {
-        site.wm->assert_fact(msg.tmpl, std::move(msg.slots));
-      } else if (auto id = site.wm->find(msg.tmpl, msg.slots)) {
-        site.wm->retract(*id);
-      }
-    }
-    site.inbox.clear();
+    ++stats.faults.delivered;
+    dest.core->deliver(from, send.epoch, send.seq, std::move(send.op));
   }
+  if (config_.output && !out.printout.empty()) *config_.output << out.printout;
+  if (site.core->halted()) halted_ = true;
+  cycle.fired += out.fired;
+  cycle.redacted += out.redacted;
+  stats.messages += out.messages;
+  stats.broadcasts += out.broadcasts;
+}
 
-  // Phase 2 (parallel): per-site match + redact + fire-buffered. Down
-  // sites sit the cycle out; the survivors keep the run degrading
-  // gracefully instead of stalling behind the failure.
+bool DistributedEngine::cycle(DistStats& stats) {
+  now_ = stats.run.cycles;
+  process_fault_timeline(stats);
+
+  // Every up core runs its cycle concurrently. Down sites sit the cycle
+  // out; the survivors keep the run degrading gracefully instead of
+  // stalling behind the failure.
   CycleStats cycle_stats;
   cycle_stats.cycle = now_;
   {
@@ -465,95 +162,41 @@ bool DistributedEngine::cycle(DistStats& stats) {
     jobs.reserve(sites_.size());
     for (auto& site_ptr : sites_) {
       Site* site = site_ptr.get();
-      if (site->down) continue;
+      if (!site->up) continue;
       jobs.push_back([this, site](unsigned) {
         Timer busy;
-        site->pending.clear();
-        site->work_done_this_cycle = false;
-        site->redactions_this_cycle = 0;
-        [&] {
-          site->matcher->apply_delta(*site->wm, site->wm->drain_delta());
-          ConflictSet& cs = site->matcher->conflict_set();
-          const std::vector<InstId> eligible = cs.alive_ids();
-          if (eligible.empty()) return;
-
-          std::vector<InstId> to_fire;
-          if (meta_.active()) {
-            const MetaOutcome outcome =
-                meta_.run(*site->wm, cs, eligible, nullptr);
-            site->redactions_this_cycle = outcome.redacted.size();
-            std::set_difference(eligible.begin(), eligible.end(),
-                                outcome.redacted.begin(),
-                                outcome.redacted.end(),
-                                std::back_inserter(to_fire));
-          } else {
-            to_fire = eligible;
-          }
-          if (to_fire.empty()) return;
-
-          site->work_done_this_cycle = true;
-          site->pending.resize(to_fire.size());
-          for (std::size_t i = 0; i < to_fire.size(); ++i) {
-            fire_buffered(program_, cs.get(to_fire[i]), *site->wm,
-                          site->pending[i]);
-            cs.mark_fired(to_fire[i]);
-            ++site->firings;
-          }
-        }();
+        site->core->run_cycle(now_);
+        site->out = site->core->take_output();
         site->busy_ns = busy.elapsed_ns();
       });
     }
     pool_->run_batch(jobs);
   }
 
-  // Simulated concurrent wall time: sites overlap, routing is serial.
+  // Simulated concurrent wall time: cores overlap, delivery is serial.
   std::uint64_t slowest_site = 0;
   for (const auto& site : sites_) {
-    if (site->down) continue;
-    slowest_site = std::max(slowest_site, site->busy_ns);
+    if (site->up) slowest_site = std::max(slowest_site, site->busy_ns);
   }
   stats.sim_wall_ns += slowest_site;
 
-  // Phase 3 (sequential, ordered): routing and local application.
-  std::uint64_t cycle_messages_before = stats.messages;
-  bool any_fired = false;
+  const std::uint64_t cycle_messages_before = stats.messages;
+  std::vector<SiteReport> reports(sites_.size());
   {
     ScopedAccumulator t(cycle_stats.merge_ns);
     for (unsigned s = 0; s < sites_.size(); ++s) {
-      Site& site = *sites_[s];
-      if (site.down) continue;
-      for (const auto& pending : site.pending) {
-        any_fired = true;
-        for (const auto& op : pending.ops) {
-          route_op(s, op, *site.wm, stats);
-        }
-        if (config_.output && !pending.printout.empty()) {
-          *config_.output << pending.printout;
-        }
-        if (pending.halt) halted_ = true;
-        cycle_stats.fired += 1;
-      }
-      site.pending.clear();
+      if (sites_[s]->up) deliver_output(s, stats, cycle_stats);
     }
-    if (reliable_) retransmit_due(stats);
+    for (unsigned s = 0; s < sites_.size(); ++s) {
+      const Site& site = *sites_[s];
+      if (!site.up) continue;
+      reports[s] = {true, site.out.fired, site.out.applied,
+                    site.core->pending(), site.core->inbox_size()};
+      cycle_stats.conflict_set_size += site.core->conflict_set_size();
+    }
   }
-
-  // Routing/merge is serial in both the simulation and real deployments
-  // (it models the coordinator applying the cycle's committed updates).
   stats.sim_wall_ns += cycle_stats.merge_ns;
 
-  if (reliable_ && config_.checkpoint_every > 0 &&
-      (now_ + 1) % config_.checkpoint_every == 0) {
-    for (unsigned s = 0; s < sites_.size(); ++s) {
-      if (!sites_[s]->down) take_checkpoint(s, stats);
-    }
-  }
-
-  for (const auto& site : sites_) {
-    if (site->down) continue;
-    cycle_stats.conflict_set_size += site->matcher->conflict_set().size();
-    cycle_stats.redacted += site->redactions_this_cycle;
-  }
   stats.run.absorb(cycle_stats);
   if (config_.trace_cycles) {
     stats.run.per_cycle.push_back(cycle_stats);
@@ -576,17 +219,8 @@ bool DistributedEngine::cycle(DistStats& stats) {
     stats.run.halted = true;
     return false;
   }
-  // Quiescence: no firings, no pending inter-site traffic, and the
-  // inboxes we drained this cycle were empty too. Under reliable
-  // routing, additionally: nothing delayed on the wire, nothing
-  // unacked, and every site up (a down site still owes its recovery
-  // re-derivation). Crashes scheduled after quiescence never occur.
-  bool inbox_pending = false;
-  for (const auto& site : sites_) {
-    if (!site->inbox.empty()) inbox_pending = true;
-  }
-  if (!any_fired && !inbox_pending && !any_inbox &&
-      (!reliable_ || !reliable_work_pending())) {
+  // Crashes scheduled after quiescence never occur.
+  if (sites_quiescent(reports)) {
     stats.run.quiescent = true;
     return false;
   }
@@ -596,12 +230,6 @@ bool DistributedEngine::cycle(DistStats& stats) {
 DistStats DistributedEngine::run() {
   DistStats stats;
   Timer wall;
-  if (reliable_) {
-    // The initial snapshot: the state a site crashed before its first
-    // periodic checkpoint recovers to.
-    now_ = 0;
-    for (unsigned s = 0; s < sites_.size(); ++s) take_checkpoint(s, stats);
-  }
   while (stats.run.cycles < config_.max_cycles) {
     if (!cycle(stats)) break;
   }
@@ -610,18 +238,28 @@ DistStats DistributedEngine::run() {
                           : stats.run.quiescent
                               ? TerminationReason::Quiescent
                               : TerminationReason::CycleLimit;
-  stats.per_site_firings.clear();
+  const bool accounted = config_.faults.enabled() || config_.checkpoint_every > 0;
+  FaultStats& f = stats.faults;
   for (const auto& site : sites_) {
-    stats.per_site_firings.push_back(site->firings);
+    SiteCounters c = site->retired;
+    c += site->core->counters();
+    stats.per_site_firings.push_back(c.firings);
+    f.sent += c.sent;
+    f.applied += c.applied;
+    f.dropped += c.dropped;
+    f.delayed += c.delayed;
+    f.retries += c.retries;
+    f.dup_suppressed += c.dup;
+    f.checkpoints += c.snapshots;
   }
+  if (!accounted) f = FaultStats{};
   PARULEL_OBS_ONLY({
     if (config_.trace) {
-      config_.trace->run(stats.run, "distributed",
-                         reliable_ ? &stats.faults : nullptr);
+      config_.trace->run(stats.run, "distributed", accounted ? &f : nullptr);
     }
     if (config_.metrics) {
       stats.run.publish(*config_.metrics);
-      stats.faults.publish(*config_.metrics);
+      f.publish(*config_.metrics);
       obs::publish_pool_stats(*config_.metrics, pool_->stats());
       config_.metrics->set("dist.sites", config_.sites);
       config_.metrics->set("dist.messages", stats.messages);
@@ -638,7 +276,7 @@ std::uint64_t DistributedEngine::global_fingerprint() const {
   std::unordered_multimap<std::uint64_t, FactView> seen;
   std::uint64_t fp = 0x5bd1e995u;
   for (const auto& site : sites_) {
-    const WorkingMemory& wm = *site->wm;
+    const WorkingMemory& wm = site->core->wm();
     for (FactId id = 1; id <= wm.high_water(); ++id) {
       if (!wm.alive(id)) continue;
       const FactView fact = wm.view(id);

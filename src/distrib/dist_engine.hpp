@@ -1,48 +1,47 @@
-// Simulated distributed PARULEL (the PARADISER substitution).
+// Simulated distributed PARULEL (the PARADISER substitution): the
+// deterministic in-memory driver of the site protocol.
 //
-// The original system ran on networks of workstations; here N "sites"
-// live in one process, each with its own working memory, matcher, and
-// meta engine, communicating only through content-addressed message
-// queues. Site compute phases run in parallel on the thread pool (one
-// task per site — the real system's unit of parallelism); all routing is
-// sequential and ordered, so runs are deterministic for any thread
-// count. Message counts are recorded per cycle, standing in for the
-// network-cost measurements of the original evaluation (see DESIGN.md,
-// substitution notes).
+// The original system ran on networks of workstations; here N sites
+// live in one process. Each site is a SiteCore (site_core.hpp) — the
+// same sans-I/O core a parulel_site process runs over TCP — with its
+// own working memory, matcher and channel state, communicating only
+// through content-addressed messages on an in-memory network. Message
+// counts are recorded per cycle, standing in for the network-cost
+// measurements of the original evaluation (see DESIGN.md, substitution
+// notes).
 //
 // Execution model per global cycle (barrier-synchronized, like the
-// PARADISER incremental-update protocol's synchronous mode):
-//   1. each site drains its inbox into its working memory;
-//   2. each site matches, runs its local meta-rule redaction, and fires
-//      its surviving instantiations against its local snapshot;
-//   3. buffered writes are routed: ops on facts the site owns apply
-//      locally, ops owned elsewhere become messages; replicated-template
-//      ops broadcast.
-// The run ends when every site is quiescent and every inbox is empty.
+// PARADISER incremental-update protocol's synchronous mode, and like
+// the cluster driver's barrier rounds):
+//   1. the crash timeline: scheduled crashes, then restarts falling due;
+//   2. every up core runs one cycle on the thread pool, one task per
+//      site: drain its inbox, match + meta-redact + fire, route, journal,
+//      ack, transmit;
+//   3. serially, in site order: each core's journal writes land in its
+//      in-memory WAL, its acks reach their senders, its transmissions
+//      reach their receivers' inboxes, and its printout is written — so
+//      a run is identical for any thread count.
+// The run ends when every site is up and reports no firings, applies,
+// pending sends or inbox (sites_quiescent, shared with the cluster
+// driver).
 //
-// Fault tolerance (optional; see distrib/faults.hpp, checkpoint.hpp):
-// when a FaultPlan or checkpoint interval is configured, cross-site
-// traffic goes through a reliable routing layer — per-channel sequence
-// numbers, acks piggybacked on the cycle barrier, and retransmission
-// with bounded exponential backoff — so injected loss, duplication,
-// delay, and site crashes never change the final fixpoint: for any
-// plan that eventually lets all messages through, global_fingerprint()
-// equals the fault-free run's. Sites snapshot their state every
-// `checkpoint_every` cycles; a crashed site restores its last
-// checkpoint on restart and peers replay every message not covered by
-// it, while the surviving sites keep cycling. With no plan configured,
-// routing takes the original fast path untouched.
+// Fault tolerance (see distrib/faults.hpp): every core injects the
+// plan's loss, duplication and delay in its own send step, and recovers
+// from drops by ack timeout and backoff retransmission. A crashed site
+// loses its core, inbox and held sends; on restart it replays its
+// in-memory WAL through replay_site_records — the replay a parulel_site
+// runs on its WAL file — and rejoins under a bumped epoch, while the
+// surviving sites keep cycling. Sites journal only when a crash is
+// planned or `checkpoint_every` > 0, like a parulel_site started
+// without --journal. For any plan that eventually lets all messages
+// through, global_fingerprint() equals the fault-free run's.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "distrib/faults.hpp"
-#include "distrib/partition.hpp"
-#include "engine/actions.hpp"
-#include "engine/engine.hpp"
-#include "meta/meta_engine.hpp"
+#include "distrib/site_core.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace parulel {
@@ -56,11 +55,10 @@ struct DistConfig {
   /// Refuse partition schemes that fail structural validation.
   bool strict_partitioning = true;
 
-  /// Faults to inject (distrib/faults.hpp). An enabled plan switches
-  /// routing onto the reliable layer.
+  /// Faults to inject (distrib/faults.hpp).
   FaultPlan faults;
-  /// Cycles between site snapshots; 0 = only the initial snapshot (and
-  /// reliable routing stays off unless `faults` is enabled).
+  /// Site WAL batches between snapshot rewrites; 0 = never truncate.
+  /// Sites journal when this is > 0 or the plan schedules crashes.
   std::uint64_t checkpoint_every = 0;
 
   /// Observability (see src/obs/): per-cycle "cycle" events plus a
@@ -74,15 +72,15 @@ struct DistStats {
   RunStats run;                       ///< aggregated over sites
   std::uint64_t messages = 0;         ///< cross-site ops routed
   std::uint64_t broadcasts = 0;       ///< replicated-template ops
-  FaultStats faults;                  ///< reliable-routing accounting
+  /// Channel and crash accounting; left zero when neither faults nor
+  /// checkpointing are configured.
+  FaultStats faults;
   std::vector<std::uint64_t> per_site_firings;
   std::vector<std::uint64_t> per_cycle_messages;  ///< when tracing
 
-  /// Simulated distributed wall time: per cycle, the slowest site's
-  /// compute time (sites run concurrently on real hardware) plus the
-  /// serial routing time. On a single-core host — where sites execute
-  /// interleaved and measured wall time cannot show concurrency — this
-  /// is the faithful stand-in for the original multi-machine numbers.
+  /// Simulated distributed wall time: per cycle, the slowest core's
+  /// cycle (sites run concurrently on real hardware) plus the serial
+  /// delivery time.
   std::uint64_t sim_wall_ns = 0;
 };
 
@@ -92,7 +90,8 @@ class DistributedEngine {
                     DistConfig config);
   ~DistributedEngine();
 
-  /// Route the program's deffacts to their owning sites.
+  /// Route the program's deffacts to their owning sites. Call once,
+  /// before run(): it is also what starts each site's WAL.
   void assert_initial_facts();
 
   DistStats run();
@@ -106,27 +105,12 @@ class DistributedEngine {
 
  private:
   struct Site;
-  struct Message;
-  struct OutEntry;
-  struct InFlight;
 
-  void route_op(unsigned from_site, const PendingOp& op,
-                const WorkingMemory& from_wm, DistStats& stats);
+  std::unique_ptr<SiteCore> make_core(unsigned site) const;
   bool cycle(DistStats& stats);
-
-  // --- reliable routing layer (active only when reliable_) ---
-  void send_reliable(unsigned from, unsigned to, Message msg,
-                     DistStats& stats);
-  void transmit(OutEntry& entry, unsigned to, DistStats& stats);
-  void resolve_in_flight(DistStats& stats);
-  void retransmit_due(DistStats& stats);
-  void drain_inbox_reliable(unsigned site, DistStats& stats);
-  void take_checkpoint(unsigned site, DistStats& stats);
   void process_fault_timeline(DistStats& stats);
-  void crash_site(unsigned site, std::uint64_t down_cycles,
-                  DistStats& stats);
-  void restore_site(unsigned site, DistStats& stats);
-  bool reliable_work_pending() const;
+  void deliver_output(unsigned site, DistStats& stats, CycleStats& cycle);
+  void write_wal(Site& site, std::vector<SiteJournalWrite> writes);
 
   const Program& program_;
   PartitionScheme scheme_;
@@ -136,9 +120,7 @@ class DistributedEngine {
   std::vector<std::unique_ptr<Site>> sites_;
   bool halted_ = false;
 
-  bool reliable_ = false;  ///< FaultPlan enabled or checkpointing on
-  std::unique_ptr<FaultInjector> injector_;
-  std::vector<InFlight> in_flight_;   ///< delayed messages on the wire
+  bool journaling_ = false;  ///< crash plan set or checkpoint_every > 0
   std::vector<bool> crash_done_;      ///< per FaultPlan::crashes entry
   std::uint64_t now_ = 0;             ///< current global cycle index
   PoolStatsSnapshot trace_prev_pool_;  ///< per-cycle trace differencing

@@ -85,6 +85,13 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
+std::uint64_t site_seed(std::uint64_t plan_seed, unsigned site_id) {
+  std::uint64_t z = plan_seed + 0x9E3779B97F4A7C15ull * (site_id + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 FaultVerdict FaultInjector::roll() {
   ++rolls_;
   FaultVerdict v;

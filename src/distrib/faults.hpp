@@ -1,4 +1,4 @@
-// Deterministic fault injection for the simulated distributed engine.
+// Deterministic fault injection for the distributed site protocol.
 //
 // The original PARULEL/PARADISER target — networks of workstations —
 // treats site failure and message loss as the normal case. This module
@@ -7,11 +7,14 @@
 // site crashes), and a FaultInjector turns the plan into per-attempt
 // verdicts drawn from one seed-driven splitmix64 stream.
 //
-// Determinism contract: the injector is consumed ONLY from the engine's
-// sequential routing phase, in routing order, so a (program, partition,
-// plan) triple always produces the same fault schedule regardless of
-// thread count. That is what lets the equivalence suite assert that any
-// plan with eventual delivery converges to the fault-free fingerprint.
+// Determinism contract: each site owns one injector, seeded with
+// site_seed(plan.seed, site) and consumed ONLY by that site's send step
+// (site_core.hpp), in the site's own transmit order. So a (program,
+// partition, plan) triple always produces the same fault schedule
+// regardless of thread count, and the simulator and a real cluster
+// draw the same verdict stream per site. That is what lets the
+// equivalence suite assert that any plan with eventual delivery
+// converges to the fault-free fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +53,11 @@ struct FaultPlan {
   /// [0, 1). Throws ParseError on malformed input.
   static FaultPlan parse(const std::string& spec);
 };
+
+/// The injector seed for one site: every site draws an independent
+/// stream, but (plan seed, site id) always yields the same one, in the
+/// simulator and in a parulel_site process alike.
+std::uint64_t site_seed(std::uint64_t plan_seed, unsigned site_id);
 
 /// The network's decision about one transmission attempt.
 struct FaultVerdict {

@@ -137,25 +137,15 @@ void apply_cluster_op(WorkingMemory& wm, const ClusterOp& op) {
   }
 }
 
-SiteRecovery recover_site_wal(const std::string& path, const Program& program,
-                              const std::string& program_text,
-                              unsigned site_count) {
-  const service::JournalScan scan = service::scan_journal(path);
-  if (scan.header.program_text != program_text) {
-    throw JournalError("site WAL '" + path +
-                       "' was written by a different program text; refusing "
-                       "to replay it into this run");
-  }
-
+SiteRecovery replay_site_records(std::span<const std::string> payloads,
+                                 const Program& program, unsigned site_count,
+                                 const std::string& origin) {
   SiteRecovery rec;
-  rec.torn_bytes = scan.torn_bytes;
-  rec.torn_kind = scan.torn_kind;
-  rec.torn_offset = scan.torn_offset;
   rec.wm = std::make_unique<WorkingMemory>(program.schema);
   rec.recv.resize(site_count);
 
   std::uint32_t max_epoch = 0;
-  for (const std::string& payload : scan.payloads) {
+  for (const std::string& payload : payloads) {
     switch (service::record_type(payload)) {
       case RecordType::SiteSnapshot: {
         SiteSnapshotRecord snap =
@@ -180,7 +170,7 @@ SiteRecovery recover_site_wal(const std::string& path, const Program& program,
         SiteBatchRecord batch =
             decode_site_batch(payload, *program.symbols, program.schema);
         if (batch.seq != rec.last_seq + 1) {
-          throw JournalError("site WAL '" + path + "' has a sequence gap: " +
+          throw JournalError("site WAL '" + origin + "' has a sequence gap: " +
                              std::to_string(rec.last_seq) + " -> " +
                              std::to_string(batch.seq));
         }
@@ -200,7 +190,7 @@ SiteRecovery recover_site_wal(const std::string& path, const Program& program,
         break;
       }
       default:
-        throw JournalError("site WAL '" + path +
+        throw JournalError("site WAL '" + origin +
                            "' holds a service record (type " +
                            std::to_string(static_cast<std::uint8_t>(
                                service::record_type(payload))) +
@@ -208,6 +198,23 @@ SiteRecovery recover_site_wal(const std::string& path, const Program& program,
     }
   }
   rec.next_epoch = max_epoch + 1;
+  return rec;
+}
+
+SiteRecovery recover_site_wal(const std::string& path, const Program& program,
+                              const std::string& program_text,
+                              unsigned site_count) {
+  const service::JournalScan scan = service::scan_journal(path);
+  if (scan.header.program_text != program_text) {
+    throw JournalError("site WAL '" + path +
+                       "' was written by a different program text; refusing "
+                       "to replay it into this run");
+  }
+  SiteRecovery rec =
+      replay_site_records(scan.payloads, program, site_count, path);
+  rec.torn_bytes = scan.torn_bytes;
+  rec.torn_kind = scan.torn_kind;
+  rec.torn_offset = scan.torn_offset;
   return rec;
 }
 

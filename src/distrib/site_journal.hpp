@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,8 +63,8 @@ struct SiteBatchRecord {
 };
 
 /// The site checkpoint a truncation rewrite folds the log into: alive
-/// fact contents plus per-sender applied-seq state (the same shape the
-/// simulated engine checkpoints — checkpoint.hpp).
+/// fact contents plus per-sender applied-seq state (the same shape as
+/// SiteCheckpoint — checkpoint.hpp).
 struct SiteSnapshotRecord {
   std::uint64_t seq = 0;    ///< seq of the last batch folded in
   std::uint32_t epoch = 1;  ///< incarnation that wrote the snapshot
@@ -93,7 +94,7 @@ SiteSnapshotRecord decode_site_snapshot(std::string_view payload,
 /// definition of "apply" keeps replay exact.
 void apply_cluster_op(WorkingMemory& wm, const ClusterOp& op);
 
-/// What recover_site_wal rebuilt from one site's WAL.
+/// What replay_site_records rebuilt from one site's WAL.
 struct SiteRecovery {
   std::uint32_t next_epoch = 1;  ///< epoch the new incarnation must use
   std::uint64_t last_seq = 0;    ///< last batch record seq (0 = none)
@@ -106,11 +107,19 @@ struct SiteRecovery {
   std::uint64_t torn_offset = 0;       ///< byte offset of the torn frame
 };
 
-/// Scan + replay an existing site WAL. Throws service::JournalError on
-/// corruption, version skew, or a header whose program text differs
+/// Replay a site WAL's record payloads, in log order — the one replay
+/// path: a recovering parulel_site feeds it the records of its WAL file
+/// (recover_site_wal below), the simulator the payloads it kept in
+/// memory. Throws service::JournalError on a sequence gap or a foreign
+/// record; `origin` names the WAL in those errors. `site_count` sizes
+/// the recv vector for senders the log never heard from.
+SiteRecovery replay_site_records(std::span<const std::string> payloads,
+                                 const Program& program, unsigned site_count,
+                                 const std::string& origin);
+
+/// Scan + replay an existing site WAL file. Throws service::JournalError
+/// on corruption, version skew, or a header whose program text differs
 /// from `program` (the WAL belongs to a different run — fail closed).
-/// `site_count` sizes the recv vector for senders the log never heard
-/// from.
 SiteRecovery recover_site_wal(const std::string& path,
                               const Program& program,
                               const std::string& program_text,

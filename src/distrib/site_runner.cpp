@@ -4,35 +4,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
-#include "engine/actions.hpp"
-#include "support/error.hpp"
 
 namespace parulel {
 
 namespace {
 
-// Retransmission backoff in barrier cycles — the same 2..16 doubling
-// the simulated engine uses (dist_engine.cpp): a batch sent at cycle c
-// is normally acked by c+2, so the first timeout fires then.
-constexpr std::uint64_t kInitialBackoff = 2;
-constexpr std::uint64_t kMaxBackoff = 16;
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
-}
-
-/// Derive the per-site injector seed: every site draws an independent
-/// stream, but (plan seed, site id) always yields the same one.
-std::uint64_t site_seed(std::uint64_t plan_seed, unsigned site_id) {
-  std::uint64_t z = plan_seed + 0x9E3779B97F4A7C15ull * (site_id + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 bool file_exists(const std::string& path) {
@@ -72,92 +54,47 @@ SiteRunner::SiteRunner(const Program& program, std::string program_text,
       scheme_(program_, opt_.partition),
       meta_(program_) {
   if (opt_.sites == 0) opt_.sites = 1;
-  if (opt_.site_id >= opt_.sites) {
-    throw RuntimeError("site id " + std::to_string(opt_.site_id) +
-                       " out of range for " + std::to_string(opt_.sites) +
-                       " sites");
-  }
-  if (opt_.faults.any_network_faults()) {
-    FaultPlan plan = opt_.faults;
-    plan.crashes.clear();  // real kills are the driver's job
-    plan.seed = site_seed(plan.seed, opt_.site_id);
-    injector_ = std::make_unique<FaultInjector>(plan);
-  }
+  core_ = std::make_unique<SiteCore>(
+      program_, scheme_, meta_,
+      SiteCoreOptions{opt_.site_id, opt_.sites, opt_.faults,
+                      opt_.checkpoint_every, !opt_.journal_path.empty()});
 }
 
 SiteRunner::~SiteRunner() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-void SiteRunner::assert_initial_facts() {
-  std::vector<ClusterOp> local;
-  for (const auto& fact : program_.initial_facts) {
-    const bool mine =
-        scheme_.replicated(fact.tmpl) ||
-        scheme_.site_of(fact.tmpl, fact.slots, opt_.sites) == opt_.site_id;
-    if (!mine) continue;
-    wm_->assert_fact(fact.tmpl, fact.slots);
-    local.push_back({ClusterOp::Kind::Assert, fact.tmpl, fact.slots});
-  }
-  // Journal the initial slice even when empty: the record's existence is
-  // what makes a site that crashes before its first real batch recover
-  // with epoch >= 2, keeping old and new sequence streams disjoint.
-  if (journal_) {
-    SiteBatchRecord rec;
-    rec.seq = ++wal_seq_;
-    rec.epoch = epoch_;
-    rec.cycle = 0;
-    rec.local = std::move(local);
-    journal_->append(
-        encode_site_batch(rec, *program_.symbols, program_.schema));
-    ++counters_.batches;
-  }
-}
-
 bool SiteRunner::setup() {
-  wm_ = std::make_unique<WorkingMemory>(program_.schema);
-  matcher_ = make_matcher(MatcherKind::Treat, program_);
-  recv_.resize(opt_.sites);
   peers_.resize(opt_.sites);
-
-  const std::string wal_name = "site-" + std::to_string(opt_.site_id);
   if (!opt_.journal_path.empty() && file_exists(opt_.journal_path)) {
-    // Crashed (or restarted) incarnation: replay the WAL, bump the
-    // epoch, and journal an epoch marker BEFORE talking to anyone.
+    // Crashed (or restarted) incarnation: replay the WAL into the core,
+    // which bumps the epoch and journals a marker BEFORE we talk to
+    // anyone.
     SiteRecovery rec = recover_site_wal(opt_.journal_path, program_,
                                         program_text_, opt_.sites);
-    wm_ = std::move(rec.wm);
-    recv_ = std::move(rec.recv);
-    epoch_ = rec.next_epoch;
-    wal_seq_ = rec.last_seq;
-    journal_ = service::SessionJournal::open_append(
-        opt_.journal_path, opt_.fsync, &journal_stats_);
-    SiteBatchRecord marker;
-    marker.seq = ++wal_seq_;
-    marker.epoch = epoch_;
-    marker.cycle = rec.cycle;
-    journal_->append(
-        encode_site_batch(marker, *program_.symbols, program_.schema));
-    ++counters_.batches;
+    const std::uint64_t batches = rec.batches;
     std::string torn;
     if (rec.torn_bytes) {
       torn = " (torn " + rec.torn_kind + "@" +
              std::to_string(rec.torn_offset) + "+" +
              std::to_string(rec.torn_bytes) + ")";
     }
+    journal_ = service::SessionJournal::open_append(
+        opt_.journal_path, opt_.fsync, &journal_stats_);
+    core_->recover(std::move(rec));
     std::fprintf(stderr,
                  "site %u: recovered %llu batches from %s, epoch %u%s\n",
-                 opt_.site_id,
-                 static_cast<unsigned long long>(rec.batches),
-                 opt_.journal_path.c_str(), epoch_, torn.c_str());
+                 opt_.site_id, static_cast<unsigned long long>(batches),
+                 opt_.journal_path.c_str(), core_->epoch(), torn.c_str());
   } else {
     if (!opt_.journal_path.empty()) {
       journal_ = service::SessionJournal::create(
-          opt_.journal_path, wal_name, program_text_, opt_.fsync,
-          &journal_stats_);
+          opt_.journal_path, "site-" + std::to_string(opt_.site_id),
+          program_text_, opt_.fsync, &journal_stats_);
     }
-    assert_initial_facts();
+    core_->assert_initial_facts();
   }
+  flush(core_->take_output());
 
   std::string error;
   listen_fd_ = net::listen_tcp(opt_.listen_port, &listen_port_, &error);
@@ -176,7 +113,7 @@ bool SiteRunner::setup() {
   driver_ = net::LineConn(fd);
   driver_.write_line("cluster-hello parulel/2 site=" +
                      std::to_string(opt_.site_id) +
-                     " epoch=" + std::to_string(epoch_) +
+                     " epoch=" + std::to_string(core_->epoch()) +
                      " port=" + std::to_string(listen_port_));
   std::string reply;
   std::vector<std::string> spill;
@@ -313,27 +250,30 @@ bool SiteRunner::pump(int timeout_ms) {
 void SiteRunner::handle_driver_line(const std::string& line) {
   if (starts_with(line, "barrier ")) {
     const std::uint64_t cycle = std::strtoull(line.c_str() + 8, nullptr, 10);
-    run_cycle(cycle);
-    std::uint64_t pending = delayed_.size();
-    for (const Peer& p : peers_) pending += p.pending.size();
+    core_->run_cycle(cycle);
+    SiteOutput out = core_->take_output();
+    const std::uint64_t fired = out.fired;
+    const std::uint64_t applied = out.applied;
+    flush(std::move(out));
+    const SiteCounters& c = core_->counters();
     driver_.write_line(
         "barrier-done cycle=" + std::to_string(cycle) +
-        " fired=" + std::to_string(fired_this_cycle_) +
-        " applied=" + std::to_string(applied_this_cycle_) +
-        " pending=" + std::to_string(pending) +
-        " inbox=" + std::to_string(inbox_.size()) +
-        " halted=" + std::to_string(halted_ ? 1 : 0) +
-        " facts=" + std::to_string(wm_->alive_count()) +
-        " sent=" + std::to_string(counters_.sent) +
-        " applied-total=" + std::to_string(counters_.applied) +
-        " dup=" + std::to_string(counters_.dup) +
-        " retries=" + std::to_string(counters_.retries) +
-        " dropped=" + std::to_string(counters_.dropped) +
-        " delayed=" + std::to_string(counters_.delayed) +
-        " redials=" + std::to_string(counters_.redials) +
-        " batches=" + std::to_string(counters_.batches) +
-        " snapshots=" + std::to_string(counters_.snapshots) +
-        " firings=" + std::to_string(counters_.firings));
+        " fired=" + std::to_string(fired) +
+        " applied=" + std::to_string(applied) +
+        " pending=" + std::to_string(core_->pending()) +
+        " inbox=" + std::to_string(core_->inbox_size()) +
+        " halted=" + std::to_string(core_->halted() ? 1 : 0) +
+        " facts=" + std::to_string(core_->wm().alive_count()) +
+        " sent=" + std::to_string(c.sent) +
+        " applied-total=" + std::to_string(c.applied) +
+        " dup=" + std::to_string(c.dup) +
+        " retries=" + std::to_string(c.retries) +
+        " dropped=" + std::to_string(c.dropped) +
+        " delayed=" + std::to_string(c.delayed) +
+        " redials=" + std::to_string(c.redials) +
+        " batches=" + std::to_string(c.batches) +
+        " snapshots=" + std::to_string(c.snapshots) +
+        " firings=" + std::to_string(c.firings));
   } else if (starts_with(line, "cluster-peers")) {
     // `cluster-peers 0=host:port 1=host:port ...` — rebroadcast after
     // every (re)join, so ports track respawned incarnations.
@@ -373,22 +313,17 @@ void SiteRunner::handle_driver_line(const std::string& line) {
 void SiteRunner::handle_peer_line(unsigned from, const std::string& line) {
   if (!starts_with(line, "cc-batch")) return;
   try {
-    InboxMsg msg;
-    msg.from = from;
-    msg.epoch = static_cast<std::uint32_t>(wire_field_u64(line, "epoch", 1));
-    msg.seq = wire_field_u64(line, "seq");
+    const auto epoch =
+        static_cast<std::uint32_t>(wire_field_u64(line, "epoch", 1));
     const std::string kind = wire_field_str(line, "kind");
-    const std::string fact = wire_field_str(line, "fact");
-    auto [tmpl, slots] =
-        decode_fact_wire(from_hex(fact), *program_.symbols, program_.schema);
-    msg.op.kind = kind == "retract" ? ClusterOp::Kind::Retract
-                                    : ClusterOp::Kind::Assert;
-    msg.op.tmpl = tmpl;
-    msg.op.slots = std::move(slots);
-    if (msg.epoch > peers_[from].epoch_seen) {
-      peers_[from].epoch_seen = msg.epoch;
-    }
-    inbox_.push_back(std::move(msg));
+    auto [tmpl, slots] = decode_fact_wire(
+        from_hex(wire_field_str(line, "fact")), *program_.symbols,
+        program_.schema);
+    if (epoch > peers_[from].epoch_seen) peers_[from].epoch_seen = epoch;
+    core_->deliver(from, epoch, wire_field_u64(line, "seq"),
+                   {kind == "retract" ? ClusterOp::Kind::Retract
+                                      : ClusterOp::Kind::Assert,
+                    tmpl, std::move(slots)});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "site %u: bad cc-batch from %u: %s\n", opt_.site_id,
                  from, e.what());
@@ -397,99 +332,21 @@ void SiteRunner::handle_peer_line(unsigned from, const std::string& line) {
 
 void SiteRunner::handle_ack_line(unsigned to, const std::string& line) {
   if (!starts_with(line, "cc-ack")) return;
-  const auto epoch = static_cast<std::uint32_t>(wire_field_u64(line, "epoch"));
-  if (epoch != epoch_) return;  // ack for an incarnation we are not
-  AppliedSeqs acked;
-  acked.floor = wire_field_u64(line, "floor");
-  const std::string sparse = wire_field_str(line, "sparse");
-  std::size_t at = 0;
-  while (at < sparse.size()) {
-    const std::size_t comma = sparse.find(',', at);
-    acked.sparse.insert(std::strtoull(sparse.c_str() + at, nullptr, 10));
-    if (comma == std::string::npos) break;
-    at = comma + 1;
-  }
-  // Ack-after-durable: everything the receiver acked is in its WAL, so
-  // pruning here is final — no replay obligation survives (contrast the
-  // simulated engine, which retains acked entries until the receiver
-  // checkpoints).
-  std::erase_if(peers_[to].pending, [&](const auto& kv) {
-    return acked.contains(kv.first);
-  });
-}
-
-void SiteRunner::route_op(const PendingOp& op,
-                          std::vector<ClusterOp>& local_ops) {
-  auto deliver = [&](unsigned to, ClusterOp cop) {
-    if (to == opt_.site_id) {
-      // Local: apply immediately, preserving op order at this site, and
-      // record for the WAL — replay must reproduce it.
-      apply_cluster_op(*wm_, cop);
-      local_ops.push_back(std::move(cop));
-    } else {
-      enqueue_send(to, std::move(cop));
-    }
-  };
-  auto route_content = [&](ClusterOp cop) {
-    if (scheme_.replicated(cop.tmpl)) {
-      for (unsigned s = 0; s < opt_.sites; ++s) deliver(s, cop);
-    } else {
-      const unsigned owner = scheme_.site_of(cop.tmpl, cop.slots, opt_.sites);
-      deliver(owner, std::move(cop));
-    }
-  };
-  switch (op.kind) {
-    case PendingOp::Kind::Assert:
-      route_content({ClusterOp::Kind::Assert, op.tmpl, op.slots});
-      break;
-    case PendingOp::Kind::Retract: {
-      const FactView fact = wm_->view(op.retract_id);
-      route_content({ClusterOp::Kind::Retract, fact.tmpl(),
-                     fact.copy_slots()});
-      break;
-    }
-    case PendingOp::Kind::Modify: {
-      const FactView fact = wm_->view(op.retract_id);
-      route_content({ClusterOp::Kind::Retract, fact.tmpl(),
-                     fact.copy_slots()});
-      route_content({ClusterOp::Kind::Assert, op.tmpl, op.slots});
-      break;
-    }
-  }
-}
-
-void SiteRunner::enqueue_send(unsigned to, ClusterOp op) {
-  Peer& p = peers_[to];
-  OutEntry entry;
-  entry.op = std::move(op);
-  entry.seq = p.next_seq++;
-  entry.backoff = kInitialBackoff;
-  entry.next_retry = cycle_;  // transmit this cycle
-  const std::uint64_t seq = entry.seq;
-  p.pending.emplace(seq, std::move(entry));
-}
-
-std::string SiteRunner::batch_line(const OutEntry& entry) const {
-  return "cc-batch from=" + std::to_string(opt_.site_id) +
-         " epoch=" + std::to_string(epoch_) +
-         " seq=" + std::to_string(entry.seq) + " kind=" +
-         (entry.op.kind == ClusterOp::Kind::Retract ? "retract" : "assert") +
-         " fact=" +
-         to_hex(encode_fact_wire(entry.op.tmpl, entry.op.slots,
-                                 *program_.symbols, program_.schema));
+  core_->on_ack(to, static_cast<std::uint32_t>(wire_field_u64(line, "epoch")),
+                parse_cc_ack(line));
 }
 
 void SiteRunner::ensure_peer_conn(unsigned to) {
   Peer& p = peers_[to];
   if (p.out.valid() || p.port == 0) return;
   std::string error;
-  ++counters_.redials;
+  ++core_->counters().redials;
   const int fd = net::dial_tcp(p.host.empty() ? "127.0.0.1" : p.host, p.port,
                                &error, 2000);
   if (fd < 0) return;  // peer down; backoff retries cover it
   net::LineConn conn(fd);
   conn.write_line("cc-hello from=" + std::to_string(opt_.site_id) +
-                  " epoch=" + std::to_string(epoch_));
+                  " epoch=" + std::to_string(core_->epoch()));
   // Wait for the peer's verdict — but keep answering inbound hellos
   // meanwhile: at barrier 0 every site is inside this function dialing
   // someone, and only mutual service breaks the circular wait.
@@ -526,196 +383,53 @@ void SiteRunner::ensure_peer_conn(unsigned to) {
   for (const std::string& line : spill) handle_ack_line(to, line);
 }
 
-void SiteRunner::transmit(unsigned to, OutEntry& entry) {
-  Peer& p = peers_[to];
-  if (entry.attempted) {
-    ++counters_.retries;
-    entry.backoff = std::min(entry.backoff * 2, kMaxBackoff);
-  }
-  entry.attempted = true;
-  entry.next_retry = cycle_ + entry.backoff;
-  ++counters_.sent;
-  const FaultVerdict v = injector_ ? injector_->roll() : FaultVerdict{};
-  if (v.drop) {
-    ++counters_.dropped;
-    return;
-  }
-  const std::string line = batch_line(entry);
-  if (v.delay > 0) {
-    ++counters_.delayed;
-    delayed_.push_back({cycle_ + 1 + v.delay, to, line});
-    return;
-  }
-  if (!p.out.valid() || !p.out.write_line(line)) {
-    ++counters_.dropped;  // dead conn: lost on the wire, retried later
-    return;
-  }
-  if (v.duplicate) {
-    ++counters_.sent;
-    p.out.write_line(line);
-  }
-}
-
-void SiteRunner::send_due(std::uint64_t cycle) {
-  std::vector<Delayed> keep;
-  keep.reserve(delayed_.size());
-  for (Delayed& d : delayed_) {
-    if (d.due > cycle) {
-      keep.push_back(std::move(d));
-      continue;
-    }
-    ensure_peer_conn(d.to);
-    Peer& p = peers_[d.to];
-    if (p.out.valid()) p.out.write_line(d.line);
-    // A dead conn drops the delayed copy; retransmission covers it.
-  }
-  delayed_.swap(keep);
-}
-
-void SiteRunner::journal_cycle(std::uint64_t cycle,
-                               std::vector<SiteAppliedMsg> applied,
-                               std::vector<ClusterOp> local_ops) {
-  if (!journal_ || (applied.empty() && local_ops.empty())) return;
-  SiteBatchRecord rec;
-  rec.seq = ++wal_seq_;
-  rec.epoch = epoch_;
-  rec.cycle = cycle;
-  rec.applied = std::move(applied);
-  rec.local = std::move(local_ops);
-  journal_->append(encode_site_batch(rec, *program_.symbols, program_.schema));
-  ++counters_.batches;
-  ++batches_since_snapshot_;
-  if (opt_.checkpoint_every > 0 &&
-      batches_since_snapshot_ >= opt_.checkpoint_every) {
-    SiteSnapshotRecord snap;
-    snap.seq = wal_seq_;
-    snap.epoch = epoch_;
-    snap.cycle = cycle;
-    snap.facts.reserve(wm_->alive_count());
-    for (FactId id = 1; id <= wm_->high_water(); ++id) {
-      if (!wm_->alive(id)) continue;
-      const FactView fact = wm_->view(id);
-      snap.facts.emplace_back(fact.tmpl(), fact.copy_slots());
-    }
-    snap.recv = recv_;
-    journal_->rewrite_with_snapshot(
-        "site-" + std::to_string(opt_.site_id), program_text_,
-        encode_site_snapshot(snap, *program_.symbols, program_.schema));
-    batches_since_snapshot_ = 0;
-    ++counters_.snapshots;
-  }
-}
-
-void SiteRunner::send_acks() {
-  for (unsigned s = 0; s < peers_.size(); ++s) {
-    Peer& p = peers_[s];
-    if (!p.ack_needed || !p.in.valid()) continue;
-    const AppliedSeqs& a = recv_[s].by_epoch[p.ack_epoch];
-    std::string line = "cc-ack epoch=" + std::to_string(p.ack_epoch) +
-                       " floor=" + std::to_string(a.floor);
-    if (!a.sparse.empty()) {
-      line += " sparse=";
-      bool first = true;
-      for (const std::uint64_t seq : a.sparse) {
-        if (!first) line += ',';
-        line += std::to_string(seq);
-        first = false;
-      }
-    }
-    if (p.in.write_line(line)) p.ack_needed = false;
-  }
-}
-
-void SiteRunner::run_cycle(std::uint64_t cycle) {
-  cycle_ = cycle;
-  fired_this_cycle_ = 0;
-  applied_this_cycle_ = 0;
-
-  // Phase 0: delayed transmissions falling due this cycle.
-  send_due(cycle);
-
-  // Phase 1: drain the inbox — dedup by (from, epoch, seq), apply fresh
-  // messages, remember them for the WAL, and owe each sender an ack
-  // (duplicates re-ack: the earlier ack may have predated a retransmit).
-  std::vector<SiteAppliedMsg> applied;
-  for (InboxMsg& msg : inbox_) {
-    Peer& p = peers_[msg.from];
-    p.ack_needed = true;
-    p.ack_epoch = msg.epoch;
-    AppliedSeqs& seqs = recv_[msg.from].by_epoch[msg.epoch];
-    if (seqs.contains(msg.seq)) {
-      ++counters_.dup;
-      continue;
-    }
-    seqs.add(msg.seq);
-    apply_cluster_op(*wm_, msg.op);
-    applied.push_back({msg.from, msg.epoch, msg.seq, std::move(msg.op)});
-  }
-  inbox_.clear();
-  applied_this_cycle_ = applied.size();
-  counters_.applied += applied.size();
-
-  // Phase 2: match + meta-redact + fire against the local snapshot —
-  // the same recognize-act phase a simulated site runs (dist_engine.cpp
-  // phase 2), minus the thread pool: this whole process IS one site.
-  std::vector<PendingOps> pending;
-  matcher_->apply_delta(*wm_, wm_->drain_delta());
-  ConflictSet& cs = matcher_->conflict_set();
-  const std::vector<InstId> eligible = cs.alive_ids();
-  if (!eligible.empty()) {
-    std::vector<InstId> to_fire;
-    if (meta_.active()) {
-      const MetaOutcome outcome = meta_.run(*wm_, cs, eligible, nullptr);
-      std::set_difference(eligible.begin(), eligible.end(),
-                          outcome.redacted.begin(), outcome.redacted.end(),
-                          std::back_inserter(to_fire));
+void SiteRunner::flush(SiteOutput out) {
+  // Durable first: the acks below promise the peers these records are
+  // on disk.
+  for (const SiteJournalWrite& w : out.journal) {
+    if (w.snapshot) {
+      journal_->rewrite_with_snapshot("site-" + std::to_string(opt_.site_id),
+                                      program_text_, w.payload);
     } else {
-      to_fire = eligible;
+      journal_->append(w.payload);
     }
-    pending.resize(to_fire.size());
-    for (std::size_t i = 0; i < to_fire.size(); ++i) {
-      fire_buffered(program_, cs.get(to_fire[i]), *wm_, pending[i]);
-      cs.mark_fired(to_fire[i]);
-    }
-    fired_this_cycle_ = to_fire.size();
-    counters_.firings += to_fire.size();
   }
-
-  // Phase 3: route buffered ops — local ops apply in place, remote ops
-  // join their channel's pending map.
-  std::vector<ClusterOp> local_ops;
-  for (PendingOps& po : pending) {
-    for (const PendingOp& op : po.ops) route_op(op, local_ops);
-    if (!po.printout.empty()) {
-      std::cout << po.printout;
-      std::cout.flush();
-    }
-    if (po.halt) halted_ = true;
+  // A lost ack only costs the peer a retransmit, which re-earns it.
+  for (const SiteAck& ack : out.acks) {
+    Peer& p = peers_[ack.to];
+    if (p.in.valid()) p.in.write_line(format_cc_ack(ack.epoch, ack.seqs));
   }
-
-  // Phase 4: make the cycle durable, THEN ack — ack-after-durable is
-  // the invariant the whole pruning scheme rests on.
-  journal_cycle(cycle, std::move(applied), std::move(local_ops));
-  send_acks();
-
-  // Phase 5: transmit everything due (new sends and backoff retries).
-  for (unsigned to = 0; to < peers_.size(); ++to) {
-    if (to == opt_.site_id) continue;
-    Peer& p = peers_[to];
-    if (p.pending.empty()) continue;
-    ensure_peer_conn(to);
-    for (auto& [seq, entry] : p.pending) {
-      if (cycle < entry.next_retry) continue;
-      transmit(to, entry);
+  std::vector<bool> dialed(peers_.size(), false);
+  for (const SiteSend& send : out.sends) {
+    if (!dialed[send.to]) {
+      ensure_peer_conn(send.to);
+      dialed[send.to] = true;
     }
+    Peer& p = peers_[send.to];
+    const std::string line =
+        "cc-batch from=" + std::to_string(opt_.site_id) +
+        " epoch=" + std::to_string(send.epoch) +
+        " seq=" + std::to_string(send.seq) + " kind=" +
+        (send.op.kind == ClusterOp::Kind::Retract ? "retract" : "assert") +
+        " fact=" +
+        to_hex(encode_fact_wire(send.op.tmpl, send.op.slots,
+                                *program_.symbols, program_.schema));
+    if (!p.out.valid() || !p.out.write_line(line)) {
+      ++core_->counters().dropped;  // dead conn: lost, retried later
+    }
+  }
+  if (!out.printout.empty()) {
+    std::cout << out.printout;
+    std::cout.flush();
   }
 }
 
 void SiteRunner::dump(net::LineConn& to) {
+  const WorkingMemory& wm = core_->wm();
   std::vector<std::string> lines;
-  for (FactId id = 1; id <= wm_->high_water(); ++id) {
-    if (!wm_->alive(id)) continue;
-    const FactView fact = wm_->view(id);
+  for (FactId id = 1; id <= wm.high_water(); ++id) {
+    if (!wm.alive(id)) continue;
+    const FactView fact = wm.view(id);
     lines.push_back("fact " +
                     to_hex(encode_fact_wire(fact.tmpl(), fact.copy_slots(),
                                             *program_.symbols,
@@ -723,7 +437,7 @@ void SiteRunner::dump(net::LineConn& to) {
   }
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(wm_->content_fingerprint()));
+                static_cast<unsigned long long>(wm.content_fingerprint()));
   to.write_line("ok cc-dump n=" + std::to_string(lines.size()) +
                 " fingerprint=" + fp);
   for (const std::string& line : lines) to.write_line(line);

@@ -1,51 +1,12 @@
 #include "distrib/wire.hpp"
 
 #include <charconv>
+#include <cstdlib>
 
 #include "service/journal.hpp"
 #include "support/error.hpp"
 
 namespace parulel {
-
-namespace {
-
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
-
-std::string to_hex(std::string_view bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char c : bytes) {
-    out.push_back(kHexDigits[c >> 4]);
-    out.push_back(kHexDigits[c & 0xF]);
-  }
-  return out;
-}
-
-std::string from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw RuntimeError("cluster wire hex token has odd length");
-  }
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_nibble(hex[i]);
-    const int lo = hex_nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw RuntimeError("cluster wire hex token has a non-hex digit");
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
 
 std::string encode_fact_wire(TemplateId tmpl, std::span<const Value> slots,
                              const SymbolTable& symbols,
@@ -121,6 +82,32 @@ std::uint64_t wire_field_u64(std::string_view line, std::string_view key,
   std::uint64_t v = missing;
   std::from_chars(first, last, v);
   return v;
+}
+
+std::string format_cc_ack(std::uint32_t epoch, const AppliedSeqs& seqs) {
+  std::string line = "cc-ack epoch=" + std::to_string(epoch) +
+                     " floor=" + std::to_string(seqs.floor);
+  const char* sep = " sparse=";
+  for (const std::uint64_t seq : seqs.sparse) {
+    line += sep;
+    line += std::to_string(seq);
+    sep = ",";
+  }
+  return line;
+}
+
+AppliedSeqs parse_cc_ack(std::string_view line) {
+  AppliedSeqs acked;
+  acked.floor = wire_field_u64(line, "floor");
+  const std::string sparse = wire_field_str(line, "sparse");
+  std::size_t at = 0;
+  while (at < sparse.size()) {
+    const std::size_t comma = sparse.find(',', at);
+    acked.sparse.insert(std::strtoull(sparse.c_str() + at, nullptr, 10));
+    if (comma == std::string::npos) break;
+    at = comma + 1;
+  }
+  return acked;
 }
 
 std::string wire_field_str(std::string_view line, std::string_view key) {

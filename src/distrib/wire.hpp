@@ -31,24 +31,21 @@
 #include <utility>
 #include <vector>
 
+#include "distrib/checkpoint.hpp"
 #include "lang/program.hpp"
+#include "support/hex.hpp"
 
 namespace parulel {
 
 /// One content-addressed cross-site operation, as shipped in a
 /// `cc-batch` line. Retracts carry content, not ids — fact ids are
-/// site-local (mirrors DistributedEngine::Message).
+/// site-local.
 struct ClusterOp {
   enum class Kind : std::uint8_t { Assert = 0, Retract = 1 };
   Kind kind = Kind::Assert;
   TemplateId tmpl = kInvalidTemplate;
   std::vector<Value> slots;
 };
-
-/// Lowercase hex of arbitrary bytes, and back. from_hex throws
-/// RuntimeError on odd length or a non-hex digit.
-std::string to_hex(std::string_view bytes);
-std::string from_hex(std::string_view hex);
 
 /// Canonical fact bytes: [template name][slot count][values], symbols
 /// as text. Encode with the sender's tables; decode re-interns against
@@ -73,6 +70,12 @@ std::string encode_op_hex(const ClusterOp& op, const SymbolTable& symbols,
                           const Schema& schema);
 ClusterOp decode_op_hex(std::string_view hex, SymbolTable& symbols,
                         const Schema& schema);
+
+/// `cc-ack epoch=E floor=F[ sparse=S,S,...]`: one cumulative ack of a
+/// (sender, epoch) stream, and its applied-seq set back (the epoch is
+/// read with wire_field_u64).
+std::string format_cc_ack(std::uint32_t epoch, const AppliedSeqs& seqs);
+AppliedSeqs parse_cc_ack(std::string_view line);
 
 // -- `key=value` field helpers for cluster protocol lines --
 

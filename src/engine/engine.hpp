@@ -8,7 +8,7 @@
 #include "engine/strategy.hpp"
 #include "lang/program.hpp"
 #include "match/matcher.hpp"
-#include "support/stats.hpp"
+#include "obs/stats.hpp"
 #include "wm/working_memory.hpp"
 
 namespace parulel {

@@ -19,6 +19,7 @@
 
 #include "distrib/faults.hpp"
 #include "service/journal.hpp"
+#include "support/hex.hpp"
 
 namespace parulel::net {
 
@@ -26,35 +27,6 @@ namespace {
 
 constexpr std::string_view kReplHello = "repl-hello parulel/2\n";
 constexpr std::string_view kReplHelloOk = "ok repl-hello parulel/2";
-
-std::string hex_encode(std::string_view bytes) {
-  static const char digits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char c : bytes) {
-    out += digits[c >> 4];
-    out += digits[c & 0xf];
-  }
-  return out;
-}
-
-bool hex_decode(std::string_view hex, std::string* out) {
-  if (hex.size() % 2 != 0) return false;
-  out->clear();
-  out->reserve(hex.size() / 2);
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out->push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return true;
-}
 
 /// Blocking full send; false on any failure.
 bool send_all(int fd, std::string_view data) {
@@ -218,7 +190,7 @@ std::uint64_t ReplicationHub::send_snapshot_locked(const std::string& name,
   const std::uint64_t ship = conn_->next_ship++;
   std::string frame = "repl-snapshot " + name + " " + std::to_string(ship) +
                       " " + (bytes.empty() ? std::string("-")
-                                           : hex_encode(bytes)) +
+                                           : to_hex(bytes)) +
                       "\n";
   if (!send_locked(frame)) return 0;
   conn_->synced.insert(name);
@@ -294,7 +266,7 @@ void ReplicationHub::ship_batch(const std::string& name, std::uint64_t seq,
     if (verdict.duplicate) ackloss_.insert(conn_->next_ship);
     ship = conn_->next_ship++;
     std::string frame = "repl-batch " + name + " " + std::to_string(ship) +
-                        " " + hex_encode(payload) + "\n";
+                        " " + to_hex(payload) + "\n";
     if (!send_locked(frame)) return;
     conn_->last_sent = ship;
     ++stats_.batches_shipped;
@@ -470,6 +442,14 @@ bool ReplicaApplier::apply_frame(const std::string& line,
     std::scoped_lock lock(mutex_);
     ++stats_.apply_errors;
     return false;  // drop the connection: reconnect forces a resync
+  };
+  auto hex_decode = [](const std::string& token, std::string* out) {
+    try {
+      *out = from_hex(token);
+      return true;
+    } catch (const RuntimeError&) {
+      return false;  // fail closed: the caller counts and drops
+    }
   };
   if ((cmd != "repl-batch" && cmd != "repl-snapshot") || seq == 0 ||
       hex.empty() || !safe_name(name)) {

@@ -8,6 +8,24 @@
 
 namespace parulel {
 
+namespace {
+
+/// Push every field of `stats` in `fields` into `registry` as
+/// "<prefix><name>" — the one body behind every family's publish().
+template <typename Stats>
+void publish_fields(const Stats& stats,
+                    std::span<const obs::FieldDef<Stats>> fields,
+                    obs::MetricsRegistry& registry, std::string_view prefix) {
+  std::string name;
+  for (const auto& f : fields) {
+    name.assign(prefix);
+    name += f.name;
+    registry.set(name, stats.*f.member);
+  }
+}
+
+}  // namespace
+
 const char* termination_name(TerminationReason r) {
   switch (r) {
     case TerminationReason::Quiescent: return "quiescent";
@@ -66,101 +84,52 @@ std::string RunStats::to_json() const {
 
 void RunStats::publish(obs::MetricsRegistry& registry,
                        std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::run_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
-  name.assign(prefix);
-  name += "halted";
-  registry.set(name, halted ? 1 : 0);
-  name.assign(prefix);
-  name += "quiescent";
-  registry.set(name, quiescent ? 1 : 0);
-  name.assign(prefix);
-  name += "termination_code";
-  registry.set(name, static_cast<std::uint64_t>(termination));
+  publish_fields(*this, obs::run_fields(), registry, prefix);
+  const std::string p(prefix);
+  registry.set(p + "halted", halted ? 1 : 0);
+  registry.set(p + "quiescent", quiescent ? 1 : 0);
+  registry.set(p + "termination_code",
+               static_cast<std::uint64_t>(termination));
 }
 
 void FaultStats::publish(obs::MetricsRegistry& registry,
                          std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::fault_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::fault_fields(), registry, prefix);
 }
 
 void ServiceStats::publish(obs::MetricsRegistry& registry,
                            std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::service_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::service_fields(), registry, prefix);
 }
 
 void NetStats::publish(obs::MetricsRegistry& registry,
                        std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::net_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::net_fields(), registry, prefix);
 }
 
 void JournalStats::publish(obs::MetricsRegistry& registry,
                            std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::journal_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::journal_fields(), registry, prefix);
 }
 
 void RetryStats::publish(obs::MetricsRegistry& registry,
                          std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::retry_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::retry_fields(), registry, prefix);
 }
 
 void ReplStats::publish(obs::MetricsRegistry& registry,
                         std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::repl_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::repl_fields(), registry, prefix);
 }
 
 void ClusterStats::publish(obs::MetricsRegistry& registry,
                            std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::cluster_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::cluster_fields(), registry, prefix);
 }
 
 void CompileStats::publish(obs::MetricsRegistry& registry,
                            std::string_view prefix) const {
-  std::string name;
-  for (const auto& f : obs::compile_fields()) {
-    name.assign(prefix);
-    name += f.name;
-    registry.set(name, this->*f.member);
-  }
+  publish_fields(*this, obs::compile_fields(), registry, prefix);
 }
 
 namespace obs {

@@ -104,8 +104,10 @@ struct RunStats {
                std::string_view prefix = "run.") const;
 };
 
-/// Fault-injection and recovery accounting for the distributed engine's
-/// reliable routing layer (src/distrib/faults.hpp). Lives in the obs
+/// Fault-injection and recovery accounting for the simulated
+/// distributed engine: its site cores' channel counters plus what the
+/// in-memory network and crash timeline saw (src/distrib/site_core.hpp,
+/// src/distrib/dist_engine.hpp). Lives in the obs
 /// layer so the field table below feeds every exporter. Counter
 /// invariants, verified by tests/test_faults.cpp at quiescence:
 ///   sent      == delivered + dropped          (every attempt resolves)
@@ -115,14 +117,15 @@ struct FaultStats {
   std::uint64_t sent = 0;       ///< transmission attempts (incl. retries/dups)
   std::uint64_t delivered = 0;  ///< attempts that reached an inbox
   std::uint64_t applied = 0;    ///< messages applied to a working memory
-  std::uint64_t dropped = 0;    ///< attempts lost (injected loss or dest down)
+  std::uint64_t dropped = 0;    ///< attempts lost (injected, dest down, or
+                                ///< held by a crashed sender)
   std::uint64_t delayed = 0;    ///< attempts held in flight for extra cycles
   std::uint64_t retries = 0;    ///< retransmissions after ack timeout
   std::uint64_t dup_suppressed = 0;  ///< duplicate deliveries discarded
   std::uint64_t wiped = 0;      ///< inbox messages destroyed by a site crash
   std::uint64_t crashes = 0;    ///< injected site failures
-  std::uint64_t restores = 0;   ///< checkpoint recoveries completed
-  std::uint64_t checkpoints = 0;  ///< snapshots taken (incl. initial)
+  std::uint64_t restores = 0;   ///< WAL recoveries completed
+  std::uint64_t checkpoints = 0;  ///< site WAL snapshot rewrites
 
   /// Push every fault_fields() entry into `registry` as "<prefix><name>".
   void publish(obs::MetricsRegistry& registry,

@@ -15,6 +15,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -247,6 +248,30 @@ TEST(ClusterDriverConfig, RefusesSpawnWithoutBinary) {
   cfg.sites = 2;
   cfg.spawn = true;  // but no site_bin
   EXPECT_THROW(ClusterDriver(program, cfg), RuntimeError);
+}
+
+TEST(ClusterDriverConfig, SiteThatExitsBeforeJoiningFailsFast) {
+  // A site binary that exits at once never joins; the driver must say
+  // so as soon as it reaps the child, not after the 30 s join timeout.
+  const auto wl = workloads::make_tc(4, 6, 1);
+  const Program program = parse_program(wl.source);
+  TempDir dir;
+  ClusterConfig cfg;
+  cfg.sites = 3;
+  cfg.site_bin = "/bin/false";
+  cfg.program_path = write_program(dir, wl.source);
+  ClusterDriver driver(program, cfg);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    driver.run();
+    FAIL() << "a cluster of exiting sites must not run";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "site 0 exited (status 1) before joining"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Unit and equivalence tests: fault injection, reliable routing, and
-// checkpoint/recovery in the simulated distributed engine.
+// WAL crash recovery in the simulated distributed engine — which runs
+// the same SiteCore and WAL replay a parulel_site process runs.
 //
 // The load-bearing property (the tentpole invariant): for any fault
 // plan that eventually lets every message through, the run converges to
@@ -10,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "distrib/checkpoint.hpp"
 #include "distrib/dist_engine.hpp"
@@ -227,13 +231,14 @@ TEST(TerminationReason, DistributedEngineReportsCycleLimit) {
 // ----------------------------------------------- fault-free reliability
 
 TEST(ReliableRouting, NoFaultsMatchesFastPath) {
-  // checkpoint_every alone flips routing onto the reliable layer; with
-  // no injected faults it must reproduce the fast path bit for bit.
+  // checkpoint_every alone turns on site journaling and fault
+  // accounting; with no injected faults it must reproduce the plain run
+  // bit for bit.
   const auto w = workloads::make_tc(20, 48, 3);
   const Program p = parse_program(w.source);
   const DistOutcome plain = run_dist(p, w.partition, 3, FaultPlan{}, 0);
   ASSERT_TRUE(plain.stats.run.quiescent);
-  EXPECT_EQ(plain.stats.faults.sent, 0u);  // fast path: no fault accounting
+  EXPECT_EQ(plain.stats.faults.sent, 0u);  // plain run: no fault accounting
 
   const DistOutcome reliable = run_dist(p, w.partition, 3, FaultPlan{}, 2);
   EXPECT_TRUE(reliable.stats.run.quiescent);
@@ -361,6 +366,93 @@ TEST(CrashRecovery, RepeatedCrashesOfDifferentSites) {
   EXPECT_EQ(faulty.stats.faults.crashes, 2u);
   EXPECT_EQ(faulty.stats.faults.restores, 2u);
   expect_counters_reconcile(faulty.stats.faults);
+}
+
+// A relay: each hop is derivable only from the previous one, and hops
+// are partitioned by position, so nearly every hop crosses sites. Unlike
+// tc — where every site re-derives the paths it ships — a message lost
+// here is lost for good, so recovery must restore what was applied.
+constexpr const char* kRelayProgram = R"(
+  (deftemplate hop (slot chain) (slot n))
+  (defrule relay (hop (chain ?c) (n ?n)) (test (< ?n 12))
+    => (assert (hop (chain ?c) (n (+ ?n 1)))))
+  (deffacts f (hop (chain 1) (n 0)) (hop (chain 2) (n 0))
+              (hop (chain 3) (n 0)) (hop (chain 4) (n 0))))";
+
+TEST(CrashRecovery, KillAtEveryBarrierSweep) {
+  // Crash one site at every barrier boundary of the fault-free run,
+  // under loss, duplication and delay, across seeds. Every run recovers
+  // through the WAL replay a parulel_site runs and must land on the
+  // fault-free fixpoint.
+  constexpr unsigned kSites = 3;
+  const auto tc = workloads::make_tc(20, 48, 13);
+  const std::pair<std::string, std::unordered_map<std::string, std::string>>
+      cases[] = {{tc.source, tc.partition},
+                 {kRelayProgram, {{"hop", "n"}}}};
+  for (const auto& [source, partition] : cases) {
+    const Program p = parse_program(source);
+    const DistOutcome baseline =
+        run_dist(p, partition, kSites, FaultPlan{}, 0);
+    ASSERT_TRUE(baseline.stats.run.quiescent);
+    ASSERT_GT(baseline.stats.run.cycles, 2u);
+    ASSERT_GT(baseline.stats.messages, 0u);
+
+    std::uint64_t crashes = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      for (std::uint64_t c = 0; c < baseline.stats.run.cycles; ++c) {
+        FaultPlan plan;
+        plan.seed = seed;
+        plan.loss_rate = 0.1;
+        plan.duplicate_rate = 0.1;
+        plan.delay_rate = 0.1;
+        plan.crashes.push_back({.site = static_cast<unsigned>(c % kSites),
+                                .at_cycle = c,
+                                .down_cycles = 1 + (seed + c) % 2});
+        const DistOutcome faulty = run_dist(p, partition, kSites, plan, 2);
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " crash=" + std::to_string(c % kSites) + "@" +
+                     std::to_string(c));
+        EXPECT_TRUE(faulty.stats.run.quiescent);
+        EXPECT_EQ(faulty.fingerprint, baseline.fingerprint);
+        EXPECT_EQ(faulty.stats.faults.crashes, faulty.stats.faults.restores);
+        expect_counters_reconcile(faulty.stats.faults);
+        crashes += faulty.stats.faults.crashes;
+      }
+    }
+    // Faulty runs last at least as long as the fault-free one, so every
+    // scheduled crash lands.
+    EXPECT_EQ(crashes, 8 * baseline.stats.run.cycles);
+  }
+}
+
+TEST(CrashRecovery, RunsAreIdenticalForAnyThreadCount) {
+  // Cores run concurrently on the pool, but delivery is serial in site
+  // order: the whole run, fault counters included, is thread-invariant.
+  const auto w = workloads::make_tc(20, 48, 29);
+  const Program p = parse_program(w.source);
+  const FaultPlan plan = FaultPlan::parse(
+      "seed=5,loss=0.1,dup=0.1,delay=0.1,crash=2@3+2");
+  std::vector<DistStats> runs;
+  std::vector<std::uint64_t> fingerprints;
+  for (const unsigned threads : {1u, 4u}) {
+    DistConfig cfg;
+    cfg.sites = 4;
+    cfg.threads = threads;
+    cfg.max_cycles = kTestMaxCycles;
+    cfg.faults = plan;
+    cfg.checkpoint_every = 2;
+    DistributedEngine dist(p, PartitionScheme(p, w.partition), cfg);
+    dist.assert_initial_facts();
+    runs.push_back(dist.run());
+    fingerprints.push_back(dist.global_fingerprint());
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+  EXPECT_EQ(runs[0].run.cycles, runs[1].run.cycles);
+  EXPECT_EQ(runs[0].messages, runs[1].messages);
+  EXPECT_EQ(runs[0].per_site_firings, runs[1].per_site_firings);
+  for (const auto& f : obs::fault_fields()) {
+    EXPECT_EQ(runs[0].faults.*f.member, runs[1].faults.*f.member) << f.name;
+  }
 }
 
 TEST(CrashRecovery, OutOfRangeCrashSiteRefused) {

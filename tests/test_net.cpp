@@ -35,7 +35,9 @@
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/cluster.hpp"
 #include "net/net_server.hpp"
+#include "net/replication.hpp"
 #include "net/retry_client.hpp"
 #include "service/protocol.hpp"
 #include "service/serve.hpp"
@@ -995,6 +997,45 @@ TEST(Replication, ShippedJournalsAreByteIdenticalAndRemovable) {
   ASSERT_TRUE(client.request("close s", r));
   ASSERT_TRUE(r.ok()) << r.status;
   EXPECT_TRUE(eventually(5'000, [&] { return slurp(rdir + "/s.wal").empty(); }));
+}
+
+TEST(Replication, BadHexTokenFailsClosed) {
+  // A frame whose payload is not hex must never reach the journal: the
+  // applier counts an apply error and drops the link (its redial forces
+  // a resync). A fake primary plays the other end.
+  std::uint16_t port = 0;
+  std::string err;
+  const int listen_fd = listen_tcp(0, &port, &err);
+  ASSERT_GE(listen_fd, 0) << err;
+  const std::string dir = fresh_journal_dir("bad_hex_replica");
+  ReplicaApplier applier({.host = "127.0.0.1", .port = port,
+                          .journal_dir = dir, .fsync = false},
+                         [](const std::string&) { return false; });
+  applier.start();
+
+  int fd = -1;
+  ASSERT_TRUE(eventually(5'000, [&] {
+    fd = accept_conn(listen_fd);
+    return fd >= 0;
+  }));
+  LineConn conn(fd);
+  std::vector<std::string> lines;
+  ASSERT_TRUE(eventually(5'000, [&] {
+    conn.read_lines(lines);
+    return !lines.empty();
+  }));
+  EXPECT_EQ(lines.front(), "repl-hello parulel/2");
+  ASSERT_TRUE(conn.write_line("ok repl-hello parulel/2"));
+  ASSERT_TRUE(conn.write_line("repl-batch s 1 zz"));
+  // The applier hangs up instead of acking.
+  lines.clear();
+  EXPECT_TRUE(eventually(5'000, [&] { return !conn.read_lines(lines); }));
+  EXPECT_TRUE(lines.empty()) << lines.front();
+  EXPECT_EQ(applier.stats_snapshot().apply_errors, 1u);
+  EXPECT_EQ(applier.stats_snapshot().applied_batches, 0u);
+  EXPECT_TRUE(slurp(dir + "/s.wal").empty());
+  applier.stop();
+  ::close(listen_fd);
 }
 
 // The chaos gate: kill the primary at a batch boundary, fail the client

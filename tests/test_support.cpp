@@ -5,8 +5,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/stats.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/symbol_table.hpp"
 #include "support/value.hpp"
 
