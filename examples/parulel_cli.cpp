@@ -37,6 +37,7 @@
 
 #include "parulel.hpp"
 #include "distrib/cluster_driver.hpp"
+#include "support/read_file.hpp"
 
 #include <unistd.h>
 
@@ -772,12 +773,12 @@ std::string resolve_site_bin(const std::string& flag_value) {
 }
 
 int run_cli(const Options& opt) {
-  std::ifstream in(opt.program_path);
-  if (!in) throw IoError("cannot open " + opt.program_path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  std::string source;
+  if (!parulel::read_file(opt.program_path, &source)) {
+    throw IoError("cannot open " + opt.program_path);
+  }
 
-  const parulel::Program program = parulel::parse_program(buffer.str());
+  const parulel::Program program = parulel::parse_program(source);
   if (opt.compile_dump) {
     // Print the bytecode listing the compiled matcher would execute and
     // stop: the listing is deterministic, so it can be diffed across

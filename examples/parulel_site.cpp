@@ -14,13 +14,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "parulel.hpp"
 #include "distrib/site_runner.hpp"
+#include "support/read_file.hpp"
 
 namespace {
 
@@ -130,15 +130,12 @@ int main(int argc, char** argv) {
   opt.driver_port = static_cast<std::uint16_t>(
       std::strtoul(driver.c_str() + colon + 1, nullptr, 10));
 
-  std::ifstream in(program_path);
-  if (!in) {
+  std::string source;
+  if (!parulel::read_file(program_path, &source)) {
     std::fprintf(stderr, "%s: cannot read %s\n", argv[0],
                  program_path.c_str());
     return 1;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string source = buf.str();
 
   try {
     if (!fault_spec.empty()) {

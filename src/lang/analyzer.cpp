@@ -371,8 +371,9 @@ class RuleCompiler {
   std::unordered_map<Symbol, int> fact_vars_;
 };
 
+/// `seen` is scratch space, reused across facts.
 GroundFact lower_ground_fact(const PatternCEAst& pat, const Schema& schema,
-                             SymbolTable& symbols) {
+                             SymbolTable& symbols, std::vector<bool>& seen) {
   auto tmpl = schema.find(pat.tmpl);
   if (!tmpl) {
     throw ParseError("deffacts references unknown template '" +
@@ -383,7 +384,7 @@ GroundFact lower_ground_fact(const PatternCEAst& pat, const Schema& schema,
   GroundFact fact;
   fact.tmpl = *tmpl;
   fact.slots.assign(static_cast<std::size_t>(def.arity()), Value{});
-  std::vector<bool> seen(static_cast<std::size_t>(def.arity()), false);
+  seen.assign(static_cast<std::size_t>(def.arity()), false);
   for (const auto& slot_ast : pat.slots) {
     if (slot_ast.kind != SlotPatternAst::Kind::Const) {
       throw ParseError("deffacts facts must be ground (no variables)",
@@ -457,9 +458,11 @@ Program analyze(const ProgramAst& ast, std::shared_ptr<SymbolTable> symbols) {
   }
 
   // 5. Initial facts.
+  std::vector<bool> seen;
   for (const auto& df : ast.facts) {
     for (const auto& pat : df.facts) {
-      prog.initial_facts.push_back(lower_ground_fact(pat, prog.schema, syms));
+      prog.initial_facts.push_back(
+          lower_ground_fact(pat, prog.schema, syms, seen));
     }
   }
 

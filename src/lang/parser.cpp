@@ -1,6 +1,9 @@
 #include "lang/parser.hpp"
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "lang/lexer.hpp"
 #include "support/error.hpp"
@@ -8,17 +11,24 @@
 namespace parulel {
 namespace {
 
-/// Cursor over the token vector with helpers for the s-expression shape.
+/// Deepest `(` nesting parse_expr accepts. Expressions are parsed (and
+/// later compiled, printed and destroyed) recursively, so an unbounded
+/// depth would let a hostile program overflow the stack.
+constexpr int kMaxExprDepth = 256;
+
+/// Recursive descent over a pull lexer, with up to two tokens of
+/// lookahead, and helpers for the s-expression shape. Tokens are held by
+/// value: the lookahead slots are overwritten as the parse advances.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, SymbolTable& symbols)
-      : tokens_(std::move(tokens)), symbols_(symbols) {}
+  Parser(std::string_view source, SymbolTable& symbols)
+      : lexer_(source), symbols_(symbols), cur_(lexer_.next()) {}
 
   ProgramAst parse_program() {
     ProgramAst out;
     while (!at(TokenKind::End)) {
       expect(TokenKind::LParen, "top-level form");
-      const Token& head = expect(TokenKind::Name, "form keyword");
+      const Token head = expect(TokenKind::Name, "form keyword");
       if (head.text == "deftemplate") {
         out.templates.push_back(parse_template());
       } else if (head.text == "defrule") {
@@ -28,40 +38,75 @@ class Parser {
       } else if (head.text == "deffacts") {
         out.facts.push_back(parse_deffacts());
       } else {
-        throw ParseError("unknown top-level form '" + head.text + "'",
-                         head.line);
+        throw ParseError(
+            "unknown top-level form '" + std::string(head.text) + "'",
+            head.line);
       }
     }
     return out;
   }
 
  private:
-  const Token& peek() const { return tokens_[pos_]; }
-  const Token& advance() { return tokens_[pos_++]; }
+  const Token& peek() const { return cur_; }
+  const Token& peek2() {
+    if (!has_next_) {
+      next_ = lexer_.next();
+      has_next_ = true;
+    }
+    return next_;
+  }
+  Token advance() {
+    Token t = cur_;
+    cur_ = has_next_ ? next_ : lexer_.next();
+    has_next_ = false;
+    return t;
+  }
   bool at(TokenKind k) const { return peek().kind == k; }
 
-  const Token& expect(TokenKind k, const char* what) {
+  Token expect(TokenKind k, const char* what) {
     if (!at(k)) {
       throw ParseError(std::string("expected ") + what + ", found '" +
-                           peek().text + "'",
+                           std::string(text_of(peek())) + "'",
                        peek().line);
     }
     return advance();
   }
 
-  Symbol intern(const std::string& text) { return symbols_.intern(text); }
+  /// A token's text, with a String's escapes resolved into a scratch
+  /// buffer that the next call reuses.
+  std::string_view text_of(const Token& t) {
+    if (!t.has_escapes) return t.text;
+    unescaped_ = unescape(t.text);
+    return unescaped_;
+  }
+
+  /// Interns through a small direct-mapped cache. A program names few
+  /// distinct symbols many times over (a 64-cube labeling input: 39
+  /// names, 179k uses), and a hit skips the table's lock and hash map.
+  /// The cache starts full of {"", 0}, which is right: Symbol 0 is "".
+  Symbol intern(const Token& t) {
+    const std::string_view text = text_of(t);
+    std::uint32_t h = 2166136261u;  // FNV-1a
+    for (char c : text) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+    CacheSlot& slot = cache_[h % kCacheSlots];
+    if (slot.text != text) {
+      slot.sym = symbols_.intern(text);
+      slot.text = symbols_.name(slot.sym);
+    }
+    return slot.sym;
+  }
 
   TemplateAst parse_template() {
     TemplateAst tmpl;
     tmpl.line = peek().line;
-    tmpl.name = intern(expect(TokenKind::Name, "template name").text);
+    tmpl.name = intern(expect(TokenKind::Name, "template name"));
     while (at(TokenKind::LParen)) {
       advance();
-      const Token& kw = expect(TokenKind::Name, "'slot'");
+      const Token kw = expect(TokenKind::Name, "'slot'");
       if (kw.text != "slot") {
         throw ParseError("expected (slot name) in deftemplate", kw.line);
       }
-      tmpl.slots.push_back(intern(expect(TokenKind::Name, "slot name").text));
+      tmpl.slots.push_back(intern(expect(TokenKind::Name, "slot name")));
       expect(TokenKind::RParen, "')'");
     }
     expect(TokenKind::RParen, "')' closing deftemplate");
@@ -71,7 +116,7 @@ class Parser {
   DeffactsAst parse_deffacts() {
     DeffactsAst df;
     df.line = peek().line;
-    df.name = intern(expect(TokenKind::Name, "deffacts name").text);
+    df.name = intern(expect(TokenKind::Name, "deffacts name"));
     while (at(TokenKind::LParen)) {
       df.facts.push_back(parse_pattern(/*negated=*/false));
     }
@@ -83,19 +128,19 @@ class Parser {
     RuleAst rule;
     rule.is_meta = is_meta;
     rule.line = peek().line;
-    rule.name = intern(expect(TokenKind::Name, "rule name").text);
+    rule.name = intern(expect(TokenKind::Name, "rule name"));
 
     // Optional (declare (salience N)).
-    if (at(TokenKind::LParen) && tokens_[pos_ + 1].kind == TokenKind::Name &&
-        tokens_[pos_ + 1].text == "declare") {
+    if (at(TokenKind::LParen) && peek2().kind == TokenKind::Name &&
+        peek2().text == "declare") {
       advance();  // (
       advance();  // declare
       expect(TokenKind::LParen, "'(salience N)'");
-      const Token& kw = expect(TokenKind::Name, "'salience'");
+      const Token kw = expect(TokenKind::Name, "'salience'");
       if (kw.text != "salience") {
         throw ParseError("only (salience N) is supported in declare", kw.line);
       }
-      const Token& num = expect(TokenKind::Integer, "salience value");
+      const Token num = expect(TokenKind::Integer, "salience value");
       rule.salience = static_cast<int>(num.int_value);
       expect(TokenKind::RParen, "')'");
       expect(TokenKind::RParen, "')' closing declare");
@@ -119,8 +164,8 @@ class Parser {
     // Either `?f <- (pattern)` or `(pattern)` / `(not (pattern))` /
     // `(test expr)`.
     if (at(TokenKind::Variable)) {
-      const Token& var = advance();
-      const Token& arrow = expect(TokenKind::Name, "'<-'");
+      const Token var = advance();
+      const Token arrow = expect(TokenKind::Name, "'<-'");
       if (arrow.text != "<-") {
         throw ParseError("expected '<-' after fact variable", arrow.line);
       }
@@ -128,12 +173,12 @@ class Parser {
       if (var.text.empty()) {
         throw ParseError("fact variable must be named", var.line);
       }
-      pat.fact_var = intern(var.text);
+      pat.fact_var = intern(var);
       return pat;
     }
 
     expect(TokenKind::LParen, "condition element");
-    const Token& head = expect(TokenKind::Name, "pattern head");
+    const Token head = expect(TokenKind::Name, "pattern head");
     if (head.text == "not") {
       PatternCEAst pat = parse_pattern(/*negated=*/true);
       expect(TokenKind::RParen, "')' closing not");
@@ -154,15 +199,15 @@ class Parser {
     }
     // Plain pattern: head was the template name; rewind conceptually by
     // parsing the body here.
-    return parse_pattern_body(intern(head.text), head.line,
+    return parse_pattern_body(intern(head), head.line,
                               /*negated=*/false);
   }
 
   /// Parses `(tmpl (slot val)...)` including the opening paren.
   PatternCEAst parse_pattern(bool negated) {
     expect(TokenKind::LParen, "pattern");
-    const Token& head = expect(TokenKind::Name, "template name");
-    return parse_pattern_body(intern(head.text), head.line, negated);
+    const Token head = expect(TokenKind::Name, "template name");
+    return parse_pattern_body(intern(head), head.line, negated);
   }
 
   /// Parses slot constraints and the closing paren; head already consumed.
@@ -171,18 +216,21 @@ class Parser {
     pat.tmpl = tmpl;
     pat.negated = negated;
     pat.line = line;
+    // Collect into a reused buffer so the pattern gets one exact-size
+    // allocation, not one per doubling.
+    slots_.clear();
     while (at(TokenKind::LParen)) {
       advance();
-      SlotPatternAst slot;
-      slot.slot = intern(expect(TokenKind::Name, "slot name").text);
-      const Token& v = advance();
+      SlotPatternAst& slot = slots_.emplace_back();
+      slot.slot = intern(expect(TokenKind::Name, "slot name"));
+      const Token v = advance();
       switch (v.kind) {
         case TokenKind::Variable:
           if (v.text.empty()) {
             slot.kind = SlotPatternAst::Kind::Wildcard;
           } else {
             slot.kind = SlotPatternAst::Kind::Var;
-            slot.var = intern(v.text);
+            slot.var = intern(v);
           }
           break;
         case TokenKind::Integer:
@@ -196,31 +244,31 @@ class Parser {
         case TokenKind::Name:
         case TokenKind::String:
           slot.kind = SlotPatternAst::Kind::Const;
-          slot.constant = Value::symbol(intern(v.text));
+          slot.constant = Value::symbol(intern(v));
           break;
         default:
           throw ParseError("bad slot constraint", v.line);
       }
       expect(TokenKind::RParen, "')' closing slot");
-      pat.slots.push_back(std::move(slot));
     }
+    pat.slots.assign(slots_.begin(), slots_.end());
     expect(TokenKind::RParen, "')' closing pattern");
     return pat;
   }
 
   ActionAst parse_action() {
     expect(TokenKind::LParen, "action");
-    const Token& head = expect(TokenKind::Name, "action keyword");
+    const Token head = expect(TokenKind::Name, "action keyword");
     ActionAst act;
     act.line = head.line;
 
     if (head.text == "assert") {
       act.kind = ActionAst::Kind::Assert;
       expect(TokenKind::LParen, "fact to assert");
-      act.tmpl = intern(expect(TokenKind::Name, "template name").text);
+      act.tmpl = intern(expect(TokenKind::Name, "template name"));
       while (at(TokenKind::LParen)) {
         advance();
-        Symbol slot = intern(expect(TokenKind::Name, "slot name").text);
+        Symbol slot = intern(expect(TokenKind::Name, "slot name"));
         ExprAst value = parse_expr();
         expect(TokenKind::RParen, "')' closing slot value");
         act.slot_exprs.emplace_back(slot, std::move(value));
@@ -228,26 +276,26 @@ class Parser {
       expect(TokenKind::RParen, "')' closing fact");
     } else if (head.text == "retract") {
       act.kind = ActionAst::Kind::Retract;
-      const Token& v = expect(TokenKind::Variable, "fact variable");
+      const Token v = expect(TokenKind::Variable, "fact variable");
       if (v.text.empty()) throw ParseError("retract needs a named fact variable", v.line);
-      act.fact_var = intern(v.text);
+      act.fact_var = intern(v);
     } else if (head.text == "modify") {
       act.kind = ActionAst::Kind::Modify;
-      const Token& v = expect(TokenKind::Variable, "fact variable");
+      const Token v = expect(TokenKind::Variable, "fact variable");
       if (v.text.empty()) throw ParseError("modify needs a named fact variable", v.line);
-      act.fact_var = intern(v.text);
+      act.fact_var = intern(v);
       while (at(TokenKind::LParen)) {
         advance();
-        Symbol slot = intern(expect(TokenKind::Name, "slot name").text);
+        Symbol slot = intern(expect(TokenKind::Name, "slot name"));
         ExprAst value = parse_expr();
         expect(TokenKind::RParen, "')' closing slot value");
         act.slot_exprs.emplace_back(slot, std::move(value));
       }
     } else if (head.text == "bind") {
       act.kind = ActionAst::Kind::Bind;
-      const Token& v = expect(TokenKind::Variable, "variable");
+      const Token v = expect(TokenKind::Variable, "variable");
       if (v.text.empty()) throw ParseError("bind needs a named variable", v.line);
-      act.bind_var = intern(v.text);
+      act.bind_var = intern(v);
       act.args.push_back(parse_expr());
     } else if (head.text == "halt") {
       act.kind = ActionAst::Kind::Halt;
@@ -258,7 +306,8 @@ class Parser {
       act.kind = ActionAst::Kind::Redact;
       act.args.push_back(parse_expr());
     } else {
-      throw ParseError("unknown action '" + head.text + "'", head.line);
+      throw ParseError("unknown action '" + std::string(head.text) + "'",
+                       head.line);
     }
 
     expect(TokenKind::RParen, "')' closing action");
@@ -266,7 +315,7 @@ class Parser {
   }
 
   ExprAst parse_expr() {
-    const Token& t = advance();
+    const Token t = advance();
     ExprAst e;
     e.line = t.line;
     switch (t.kind) {
@@ -280,12 +329,12 @@ class Parser {
         return e;
       case TokenKind::String:
         e.kind = ExprAst::Kind::Const;
-        e.constant = Value::symbol(intern(t.text));
+        e.constant = Value::symbol(intern(t));
         return e;
       case TokenKind::Name:
         // A bare name in expression position is a symbolic constant.
         e.kind = ExprAst::Kind::Const;
-        e.constant = Value::symbol(intern(t.text));
+        e.constant = Value::symbol(intern(t));
         return e;
       case TokenKind::Variable:
         if (t.text.empty()) {
@@ -293,13 +342,20 @@ class Parser {
                            t.line);
         }
         e.kind = ExprAst::Kind::Var;
-        e.var = intern(t.text);
+        e.var = intern(t);
         return e;
       case TokenKind::LParen: {
-        const Token& op = expect(TokenKind::Name, "operator");
+        if (depth_ == kMaxExprDepth) {
+          throw ParseError("expression nested deeper than " +
+                               std::to_string(kMaxExprDepth),
+                           t.line);
+        }
+        const Token op = expect(TokenKind::Name, "operator");
         e.kind = ExprAst::Kind::Call;
-        e.op = intern(op.text);
+        e.op = intern(op);
+        ++depth_;
         while (!at(TokenKind::RParen)) e.args.push_back(parse_expr());
+        --depth_;
         advance();  // )
         return e;
       }
@@ -308,15 +364,26 @@ class Parser {
     }
   }
 
-  std::vector<Token> tokens_;
+  Lexer lexer_;
   SymbolTable& symbols_;
-  std::size_t pos_ = 0;
+  Token cur_;
+  Token next_;
+  bool has_next_ = false;
+  std::string unescaped_;
+  std::vector<SlotPatternAst> slots_;  // parse_pattern_body's buffer
+  struct CacheSlot {
+    std::string_view text;  // the table's own copy, stable
+    Symbol sym = 0;
+  };
+  static constexpr std::size_t kCacheSlots = 256;
+  std::array<CacheSlot, kCacheSlots> cache_{};
+  int depth_ = 0;  // open `(` of the expression being parsed
 };
 
 }  // namespace
 
 ProgramAst parse_ast(std::string_view source, SymbolTable& symbols) {
-  return Parser(tokenize(source), symbols).parse_program();
+  return Parser(source, symbols).parse_program();
 }
 
 }  // namespace parulel

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace parulel {
 
@@ -18,12 +18,16 @@ enum class TokenKind : std::uint8_t {
   End,
 };
 
+/// One token. `text` views the source the lexer was given, so a token is
+/// valid only while that source is alive.
 struct Token {
   TokenKind kind = TokenKind::End;
-  std::string text;       // Name/Variable (without '?')/String contents
+  /// String only: `text` still holds backslash escapes (see unescape()).
+  bool has_escapes = false;
+  int line = 0;
+  std::string_view text;  // Name/Variable (without '?')/String contents
   std::int64_t int_value = 0;
   double float_value = 0.0;
-  int line = 0;
 };
 
 }  // namespace parulel

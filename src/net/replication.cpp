@@ -13,13 +13,13 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "distrib/faults.hpp"
 #include "service/journal.hpp"
 #include "support/hex.hpp"
+#include "support/read_file.hpp"
 
 namespace parulel::net {
 
@@ -41,14 +41,6 @@ bool send_all(int fd, std::string_view data) {
     p += n;
     left -= static_cast<std::size_t>(n);
   }
-  return true;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
   return true;
 }
 

@@ -2,12 +2,12 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "lang/printer.hpp"
 #include "support/error.hpp"
+#include "support/read_file.hpp"
 
 namespace parulel::service {
 
@@ -165,17 +165,15 @@ ServeProtocol::Status ServeProtocol::handle_line(std::string_view line,
       err("session exists: " + tok[1]);
       return Status::Error;
     }
-    std::ifstream file(tok[2]);
-    if (!file) {
+    std::string text;
+    if (!read_file(tok[2], &text)) {
       err("cannot read: " + tok[2]);
       return Status::Error;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
     Client client;
     std::unique_ptr<Program> program;
     try {
-      program = std::make_unique<Program>(parse_program(text.str()));
+      program = std::make_unique<Program>(parse_program(text));
     } catch (const ParseError& e) {
       err(std::string("parse: ") + e.what());
       return Status::Error;
@@ -186,7 +184,7 @@ ServeProtocol::Status ServeProtocol::handle_line(std::string_view line,
       // the session's write-ahead journal.
       std::string why;
       client.id = service_.open_durable(tok[1], std::move(program),
-                                        text.str(), &why);
+                                        std::move(text), &why);
       if (client.id == 0) {
         err(why);
         return Status::Error;

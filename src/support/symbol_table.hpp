@@ -6,13 +6,15 @@
 // compare integers, never strings.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace parulel {
 
@@ -23,7 +25,9 @@ using Symbol = std::uint32_t;
 ///
 /// Interning takes a lock; lookups of already-interned names (`name()`)
 /// are lock-free reads of immutable storage, which is what the match
-/// inner loops need.
+/// inner loops and the wire and journal encoders need. A symbol's entry
+/// and text are written once, before intern() publishes the new size
+/// with a release store; name() and size() read behind an acquire load.
 class SymbolTable {
  public:
   SymbolTable();
@@ -34,7 +38,7 @@ class SymbolTable {
   /// Intern `text`, returning its stable Symbol. Idempotent.
   Symbol intern(std::string_view text);
 
-  /// The text of a previously interned symbol.
+  /// The text of a previously interned symbol. Takes no lock.
   /// The returned view is stable for the lifetime of the table.
   std::string_view name(Symbol sym) const;
 
@@ -42,9 +46,19 @@ class SymbolTable {
   std::size_t size() const;
 
  private:
-  mutable std::mutex mutex_;
-  // Deque-like storage: strings are heap-allocated once and never move.
-  std::vector<std::unique_ptr<std::string>> strings_;
+  // Strings live in chunks that never move (so neither do their
+  // characters): chunk k holds kFirstChunk << k of them, and 27 chunks
+  // cover every 32-bit Symbol.
+  static constexpr std::size_t kFirstChunk = 64;
+  static constexpr std::size_t kChunks = 27;
+
+  static std::size_t chunk_of(std::size_t sym);
+  std::string& entry(std::size_t sym) const;
+
+  std::atomic<std::size_t> size_{0};
+  std::array<std::unique_ptr<std::string[]>, kChunks> chunks_;
+
+  std::mutex mutex_;  // serializes intern(); guards index_
   std::unordered_map<std::string_view, Symbol> index_;
 };
 

@@ -71,6 +71,88 @@ TEST(Lexer, TracksLineNumbers) {
   EXPECT_EQ(toks[2].line, 4);
 }
 
+TEST(Lexer, UnterminatedStringReportsItsOpeningLine) {
+  try {
+    tokenize("a\n\"opens here\nand runs\nto the end");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("unterminated string literal"),
+              std::string::npos);
+  }
+}
+
+TEST(Lexer, EscapesAreKeptRawAndFlagged) {
+  const auto toks = tokenize(R"("say \"hi\" \\ \q" "plain")");
+  ASSERT_EQ(toks[0].kind, TokenKind::String);
+  EXPECT_TRUE(toks[0].has_escapes);
+  EXPECT_EQ(unescape(toks[0].text), R"(say "hi" \ q)");
+  EXPECT_FALSE(toks[1].has_escapes);
+  EXPECT_EQ(toks[1].text, "plain");
+}
+
+TEST(Lexer, MultiLineStringSitsOnItsClosingLine) {
+  // An escaped newline is still a newline for line numbering.
+  for (const char* src : {"\"a\nb\" c", "\"a\\\nb\" c"}) {
+    const auto toks = tokenize(src);
+    EXPECT_EQ(toks[0].line, 2) << src;
+    EXPECT_EQ(toks[1].line, 2) << src;
+  }
+}
+
+TEST(Lexer, NumbersOutOfRangeThrow) {
+  for (const char* text : {"99999999999999999999", "-99999999999999999999",
+                           "1e400", "-1e400"}) {
+    try {
+      tokenize(std::string("a\n") + text);
+      FAIL() << text << " lexed";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << text;
+      EXPECT_NE(std::string(e.what()).find("number out of range"),
+                std::string::npos)
+          << text;
+    }
+  }
+  // The int64 extremes still fit.
+  const auto toks = tokenize("9223372036854775807 -9223372036854775808");
+  EXPECT_EQ(toks[0].kind, TokenKind::Integer);
+  EXPECT_EQ(toks[1].kind, TokenKind::Integer);
+}
+
+TEST(Lexer, NameLikeNumbersStayNames) {
+  const auto toks = tokenize("e1 1-2 1e400x c12-j3");
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    EXPECT_EQ(toks[i].kind, TokenKind::Name) << toks[i].text;
+  }
+}
+
+TEST(Lexer, PullLexerMatchesCollectedTokens) {
+  const std::string_view src = "(r (a ?x) (b \"s\") (c 1.5)) => ; c\n?";
+  const auto all = tokenize(src);
+  Lexer lexer(src);
+  for (const Token& want : all) {
+    const Token got = lexer.next();
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.text, want.text);
+    EXPECT_EQ(got.line, want.line);
+  }
+  EXPECT_EQ(lexer.next().kind, TokenKind::End);  // End repeats
+}
+
+TEST(Lexer, LexesAsName) {
+  EXPECT_TRUE(lexes_as_name("plus"));
+  EXPECT_TRUE(lexes_as_name("<="));
+  EXPECT_TRUE(lexes_as_name("e1"));
+  EXPECT_FALSE(lexes_as_name(""));
+  EXPECT_FALSE(lexes_as_name("=>"));
+  EXPECT_FALSE(lexes_as_name("42"));
+  EXPECT_FALSE(lexes_as_name("1.5"));
+  EXPECT_FALSE(lexes_as_name("1e400"));
+  EXPECT_FALSE(lexes_as_name("two words"));
+  EXPECT_FALSE(lexes_as_name("a,b"));
+  EXPECT_FALSE(lexes_as_name("?x"));
+}
+
 // --------------------------------------------------------------- parser
 
 constexpr const char* kTinyProgram = R"((deftemplate edge (slot from) (slot to))
@@ -125,6 +207,70 @@ TEST(Parser, ErrorsCarryLineNumbers) {
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
   }
+}
+
+/// The message of the ParseError `source` raises ("" when it parses).
+std::string parse_error(const std::string& source) {
+  try {
+    parse_program(source);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string nested(const std::string& open, int depth,
+                   const std::string& core) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += core;
+  out.append(static_cast<std::size_t>(depth), ')');
+  return out;
+}
+
+TEST(Parser, ExpressionsNestUpToTheCap) {
+  // 256 nested calls parse; one more is refused by name, with its line.
+  const std::string ok = "(deftemplate r (slot a))\n(defrule g (r (a ?x)) "
+                         "(test " + nested("(+ 1 ", 256, "1") + ") => (halt))";
+  EXPECT_EQ(parse_error(ok), "");
+  const std::string deep = "(deftemplate r (slot a))\n(defrule g (r (a ?x)) "
+                           "(test " + nested("(+ 1 ", 257, "1") + ") => (halt))";
+  EXPECT_EQ(parse_error(deep), "line 2: expression nested deeper than 256");
+}
+
+TEST(Parser, HostileNestingFailsClosed) {
+  // Deep enough to overflow the stack of a recursive parser without a
+  // cap: a test CE, an assert slot value, and nested not/exists.
+  constexpr int kDepth = 200000;
+  const std::string head = "(deftemplate r (slot a))\n(defrule g ";
+  EXPECT_EQ(parse_error(head + "(r (a ?x)) (test " +
+                        nested("(+ ", kDepth, "1") + ") => (halt))"),
+            "line 2: expression nested deeper than 256");
+  EXPECT_EQ(parse_error(head + "(r (a ?x)) => (assert (r (a " +
+                        nested("(+ ", kDepth, "1") + "))))"),
+            "line 2: expression nested deeper than 256");
+  EXPECT_NE(parse_error(head + nested("(not ", kDepth, "(r (a 1))") +
+                        " => (halt))"),
+            "");
+  EXPECT_NE(parse_error(head + nested("(exists ", kDepth, "(r (a 1))") +
+                        " => (halt))"),
+            "");
+}
+
+TEST(Parser, StringEscapesResolveBeforeInterning) {
+  const Program p = parse_program(
+      "(deftemplate r (slot a))\n(deffacts f (r (a \"x\\\"y\")))");
+  ASSERT_EQ(p.initial_facts.size(), 1u);
+  EXPECT_EQ(p.symbols->name(p.initial_facts[0].slots[0].as_sym()), "x\"y");
+}
+
+TEST(Parser, OutOfRangeLiteralIsAParseError) {
+  EXPECT_EQ(parse_error("(deftemplate r (slot a))\n"
+                        "(deffacts f (r (a 99999999999999999999)))"),
+            "line 2: number out of range");
+  EXPECT_EQ(parse_error("(deftemplate r (slot a))\n"
+                        "(deffacts f (r (a 1e400)))"),
+            "line 2: number out of range");
 }
 
 // ------------------------------------------------------------- analyzer

@@ -1,14 +1,21 @@
-// Unit tests: symbol table, values, RNG, stats.
+// Unit tests: symbol table, whole-file reads, values, RNG, stats.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "obs/stats.hpp"
+#include "support/read_file.hpp"
 #include "support/rng.hpp"
 #include "support/symbol_table.hpp"
 #include "support/value.hpp"
+
+#include <unistd.h>
 
 namespace parulel {
 namespace {
@@ -52,6 +59,65 @@ TEST(SymbolTable, ConcurrentInternIsSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(t.size(), 501u);  // "" + 500 shared
+}
+
+TEST(SymbolTable, IdsFollowFirstInternOrderAcrossChunks) {
+  // Entries cross several storage chunks (64, 128, 256, ... entries);
+  // ids stay dense and in first-intern order, and a long name (past
+  // any small-string buffer) survives.
+  SymbolTable t;
+  const std::string big(40000, 'x');
+  for (int i = 1; i <= 5000; ++i) {
+    ASSERT_EQ(t.intern("sym" + std::to_string(i)), static_cast<Symbol>(i));
+  }
+  const Symbol b = t.intern(big);
+  EXPECT_EQ(b, 5001u);
+  for (int i = 1; i <= 5000; ++i) {
+    ASSERT_EQ(t.name(static_cast<Symbol>(i)), "sym" + std::to_string(i));
+  }
+  EXPECT_EQ(t.name(b), big);
+  EXPECT_EQ(t.intern("sym4096"), 4096u);
+}
+
+TEST(SymbolTable, NameReadsRaceFreeWithInterning) {
+  // Readers look up every published symbol while a writer interns; run
+  // under TSan, this pins that name() and size() need no lock.
+  SymbolTable t;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const std::size_t n = t.size();
+        for (std::size_t i = 1; i < n; ++i) {
+          const std::string_view name = t.name(static_cast<Symbol>(i));
+          ASSERT_EQ(name, "word" + std::to_string(i));
+        }
+      }
+    });
+  }
+  for (int i = 1; i <= 3000; ++i) t.intern("word" + std::to_string(i));
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(t.size(), 3001u);
+}
+
+TEST(ReadFile, ReadsFilesAndDevicesRefusesDirectories) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("parulel_read_file_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "f.clp").string();
+  const std::string text =
+      std::string("(a \0 b)\n", 8) + std::string(70000, 'x');
+  std::ofstream(path, std::ios::binary) << text;
+  std::string out;
+  ASSERT_TRUE(read_file(path, &out));
+  EXPECT_EQ(out, text);
+  ASSERT_TRUE(read_file("/dev/null", &out));  // unsized: streamed
+  EXPECT_EQ(out, "");
+  EXPECT_FALSE(read_file(dir.string(), &out));
+  EXPECT_FALSE(read_file((dir / "missing").string(), &out));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Value, KindsAndAccessors) {
