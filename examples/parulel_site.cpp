@@ -3,8 +3,10 @@
 // Normally spawned by the cluster driver (`parulel_cli --cluster N`),
 // but designed to be started by hand for manual deployments:
 //
-//   parulel_site --program rules.pl --site-id 0 --sites 3 \
+//   parulel_site --program rules.clp --site-id 0 --sites 3
 //       --driver 127.0.0.1:7400 --journal /var/lib/parulel/site-0.wal
+//
+// (one command line, wrapped here).
 //
 // The process dials the driver, joins the cluster, and serves barriers
 // until the driver sends cc-stop. Exit codes: 0 clean stop, 1 I/O

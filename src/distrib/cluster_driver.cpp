@@ -1,6 +1,5 @@
 #include "distrib/cluster_driver.hpp"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -108,10 +107,7 @@ bool ClusterDriver::try_accept_joins(int timeout_ms) {
   for (const auto& conn : handshaking_) {
     if (conn.valid()) pfds.push_back({conn.fd(), POLLIN, 0});
   }
-  int rc;
-  do {
-    rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  } while (rc < 0 && errno == EINTR);
+  net::poll_until(pfds, net::deadline_in(timeout_ms));
 
   for (;;) {
     const int fd = net::accept_conn(listen_fd_);
@@ -160,7 +156,6 @@ bool ClusterDriver::try_accept_joins(int timeout_ms) {
     site.port = port;
     site.epoch = epoch;
     site.up = true;
-    site.backlog.clear();
     // Force at least one full barrier round before this site's report
     // can contribute to a quiescence verdict — a recovered site owes
     // its refires first.
@@ -303,28 +298,13 @@ bool ClusterDriver::barrier_round(std::uint64_t cycle) {
   for (unsigned s = 0; s < cfg_.sites; ++s) {
     SiteProc& site = sites_[s];
     if (!site.up) continue;
-    std::string reply;
     // Generous per-site deadline: a barrier is one local cycle plus a
     // few loopback writes; anything past this is a dead process.
-    Timer deadline;
+    const net::Deadline deadline = net::deadline_in(60'000);
+    std::string reply;
     bool got = false;
-    while (deadline.elapsed_ns() < 60'000'000'000ull) {
-      if (!site.backlog.empty()) {
-        reply = std::move(site.backlog.front());
-        site.backlog.erase(site.backlog.begin());
-        if (!starts_with(reply, "barrier-done")) continue;
-        got = true;
-        break;
-      }
-      std::vector<std::string> lines;
-      const bool alive = site.conn.read_lines(lines);
-      site.backlog.insert(site.backlog.end(),
-                          std::make_move_iterator(lines.begin()),
-                          std::make_move_iterator(lines.end()));
-      if (!site.backlog.empty()) continue;
-      if (!alive) break;
-      pollfd pfd{site.conn.fd(), POLLIN, 0};
-      ::poll(&pfd, 1, 100);
+    while (!got && site.conn.wait_line(reply, deadline)) {
+      got = starts_with(reply, "barrier-done");
     }
     if (!got) {
       site.up = false;
@@ -354,7 +334,8 @@ bool ClusterDriver::barrier_round(std::uint64_t cycle) {
 
 ClusterOutcome ClusterDriver::run() {
   std::string error;
-  listen_fd_ = net::listen_tcp(cfg_.port, &listen_port_, &error);
+  listen_fd_ =
+      net::listen_tcp("127.0.0.1", cfg_.port, 64, &listen_port_, &error);
   if (listen_fd_ < 0) throw RuntimeError("cluster driver: " + error);
   if (cfg_.log) {
     *cfg_.log << "cluster: driver listening on 127.0.0.1:" << listen_port_
@@ -434,31 +415,18 @@ std::uint64_t ClusterDriver::collect_fingerprint(std::uint64_t* facts) {
     SiteProc& site = sites_[s];
     if (!site.up) continue;
     if (!site.conn.write_line("cc-dump")) continue;
-    std::string head;
-    Timer deadline;
-    std::uint64_t want = 0;
+    const net::Deadline deadline = net::deadline_in(30'000);
+    std::string line;
     bool got = false;
-    std::vector<std::string> fact_lines;
-    while (deadline.elapsed_ns() < 30'000'000'000ull) {
-      std::vector<std::string> lines;
-      const bool alive = site.conn.read_lines(lines);
-      for (std::string& line : lines) {
-        if (!got) {
-          if (starts_with(line, "ok cc-dump")) {
-            want = wire_field_u64(line, "n");
-            got = true;
-          }
-        } else if (starts_with(line, "fact ")) {
-          fact_lines.push_back(std::move(line));
-        }
+    std::uint64_t want = 0;
+    while ((!got || want > 0) && site.conn.wait_line(line, deadline)) {
+      if (!got) {
+        got = starts_with(line, "ok cc-dump");
+        if (got) want = wire_field_u64(line, "n");
+      } else if (starts_with(line, "fact ")) {
+        seen.insert(line.substr(5));
+        --want;
       }
-      if (got && fact_lines.size() >= want) break;
-      if (!alive) break;
-      pollfd pfd{site.conn.fd(), POLLIN, 0};
-      ::poll(&pfd, 1, 100);
-    }
-    for (const std::string& line : fact_lines) {
-      seen.insert(line.substr(5));
     }
   }
   std::uint64_t fp = 0x5bd1e995u;
@@ -480,17 +448,10 @@ void ClusterDriver::stop_sites() {
   for (SiteProc& site : sites_) {
     if (site.up) {
       // Give the site a moment to flush its `ok cc-stop` and exit.
-      Timer deadline;
-      while (deadline.elapsed_ns() < 2'000'000'000ull) {
-        std::vector<std::string> lines;
-        if (!site.conn.read_lines(lines)) break;
-        bool done = false;
-        for (const std::string& line : lines) {
-          if (starts_with(line, "ok cc-stop")) done = true;
-        }
-        if (done) break;
-        pollfd pfd{site.conn.fd(), POLLIN, 0};
-        ::poll(&pfd, 1, 50);
+      const net::Deadline deadline = net::deadline_in(2000);
+      std::string line;
+      while (site.conn.wait_line(line, deadline) &&
+             !starts_with(line, "ok cc-stop")) {
       }
       site.conn.close();
       site.up = false;

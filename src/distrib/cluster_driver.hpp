@@ -41,7 +41,7 @@
 #include "distrib/faults.hpp"
 #include "distrib/site_core.hpp"
 #include "lang/program.hpp"
-#include "net/cluster.hpp"
+#include "net/line_io.hpp"
 #include "obs/stats.hpp"
 
 namespace parulel {
@@ -106,8 +106,6 @@ class ClusterDriver {
     // Cumulative counters from the last report (retired into stats_
     // when the incarnation dies, so totals survive kills).
     ClusterStats live;
-    /// Lines read ahead of the reply currently being waited for.
-    std::vector<std::string> backlog;
   };
 
   void spawn_site(unsigned id);

@@ -1,6 +1,5 @@
 #include "distrib/site_runner.hpp"
 
-#include <poll.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -20,28 +19,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 bool file_exists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Block until one line arrives on `conn` (handshakes only — steady
-/// state is fully nonblocking). Extra lines that rode the same read
-/// land in `spill` for the caller to dispatch.
-bool wait_line(net::LineConn& conn, int timeout_ms, std::string& line,
-               std::vector<std::string>& spill) {
-  const int step = 50;
-  for (int waited = 0; waited <= timeout_ms; waited += step) {
-    std::vector<std::string> lines;
-    const bool alive = conn.read_lines(lines);
-    if (!lines.empty()) {
-      line = std::move(lines.front());
-      spill.insert(spill.end(), std::make_move_iterator(lines.begin() + 1),
-                   std::make_move_iterator(lines.end()));
-      return true;
-    }
-    if (!alive) return false;
-    pollfd pfd{conn.fd(), POLLIN, 0};
-    ::poll(&pfd, 1, step);
-  }
-  return false;
 }
 
 }  // namespace
@@ -97,14 +74,15 @@ bool SiteRunner::setup() {
   flush(core_->take_output());
 
   std::string error;
-  listen_fd_ = net::listen_tcp(opt_.listen_port, &listen_port_, &error);
+  listen_fd_ = net::listen_tcp("127.0.0.1", opt_.listen_port, 64,
+                               &listen_port_, &error);
   if (listen_fd_ < 0) {
     std::fprintf(stderr, "site %u: %s\n", opt_.site_id, error.c_str());
     return false;
   }
 
   const int fd =
-      net::dial_tcp(opt_.driver_host, opt_.driver_port, &error, 10000);
+      net::dial_tcp(opt_.driver_host, opt_.driver_port, 10000, &error);
   if (fd < 0) {
     std::fprintf(stderr, "site %u: driver: %s\n", opt_.site_id,
                  error.c_str());
@@ -116,8 +94,7 @@ bool SiteRunner::setup() {
                      " epoch=" + std::to_string(core_->epoch()) +
                      " port=" + std::to_string(listen_port_));
   std::string reply;
-  std::vector<std::string> spill;
-  if (!wait_line(driver_, 15000, reply, spill)) {
+  if (!driver_.wait_line(reply, net::deadline_in(15000))) {
     std::fprintf(stderr, "site %u: driver closed during hello\n",
                  opt_.site_id);
     return false;
@@ -134,7 +111,10 @@ bool SiteRunner::setup() {
                  opt_.sites);
     return false;
   }
-  for (const std::string& line : spill) handle_driver_line(line);
+  // Lines that rode in with the verdict (cluster-peers, a barrier).
+  std::vector<std::string> lines;
+  driver_.read_lines(lines);
+  for (const std::string& line : lines) handle_driver_line(line);
   return true;
 }
 
@@ -206,21 +186,22 @@ void SiteRunner::process_handshakes() {
                 [](const net::LineConn& c) { return !c.valid(); });
 }
 
-bool SiteRunner::pump(int timeout_ms) {
-  std::vector<pollfd> pfds;
-  pfds.push_back({driver_.fd(), POLLIN, 0});
+void SiteRunner::handshake_pollfds(std::vector<pollfd>& pfds) const {
   pfds.push_back({listen_fd_, POLLIN, 0});
   for (const auto& conn : handshaking_) {
     if (conn.valid()) pfds.push_back({conn.fd(), POLLIN, 0});
   }
+}
+
+bool SiteRunner::pump(int timeout_ms) {
+  std::vector<pollfd> pfds;
+  pfds.push_back({driver_.fd(), POLLIN, 0});
+  handshake_pollfds(pfds);
   for (const Peer& p : peers_) {
     if (p.in.valid()) pfds.push_back({p.in.fd(), POLLIN, 0});
     if (p.out.valid()) pfds.push_back({p.out.fd(), POLLIN, 0});
   }
-  int rc;
-  do {
-    rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  } while (rc < 0 && errno == EINTR);
+  net::poll_until(pfds, net::deadline_in(timeout_ms));
 
   process_handshakes();
 
@@ -342,7 +323,7 @@ void SiteRunner::ensure_peer_conn(unsigned to) {
   std::string error;
   ++core_->counters().redials;
   const int fd = net::dial_tcp(p.host.empty() ? "127.0.0.1" : p.host, p.port,
-                               &error, 2000);
+                               2000, &error);
   if (fd < 0) return;  // peer down; backoff retries cover it
   net::LineConn conn(fd);
   conn.write_line("cc-hello from=" + std::to_string(opt_.site_id) +
@@ -350,25 +331,19 @@ void SiteRunner::ensure_peer_conn(unsigned to) {
   // Wait for the peer's verdict — but keep answering inbound hellos
   // meanwhile: at barrier 0 every site is inside this function dialing
   // someone, and only mutual service breaks the circular wait.
-  std::string reply;
-  std::vector<std::string> spill;
-  bool got = false;
-  for (int waited = 0; waited <= 2000; waited += 50) {
+  const net::Deadline deadline = net::deadline_in(2000);
+  std::vector<std::string> lines;
+  std::vector<pollfd> pfds;
+  for (;;) {
     process_handshakes();
-    std::vector<std::string> lines;
     const bool alive = conn.read_lines(lines);
-    if (!lines.empty()) {
-      reply = std::move(lines.front());
-      spill.insert(spill.end(), std::make_move_iterator(lines.begin() + 1),
-                   std::make_move_iterator(lines.end()));
-      got = true;
-      break;
-    }
+    if (!lines.empty()) break;
     if (!alive) return;
-    pollfd pfds[2] = {{conn.fd(), POLLIN, 0}, {listen_fd_, POLLIN, 0}};
-    ::poll(pfds, 2, 50);
+    pfds.assign(1, {conn.fd(), POLLIN, 0});
+    handshake_pollfds(pfds);
+    if (net::poll_until(pfds, deadline) <= 0) return;
   }
-  if (!got) return;
+  const std::string& reply = lines.front();
   if (starts_with(reply, "err epoch-stale")) {
     // The peer has heard from a NEWER incarnation of this site id: we
     // are a zombie (e.g. resumed after a long stall past our own
@@ -380,7 +355,9 @@ void SiteRunner::ensure_peer_conn(unsigned to) {
   }
   if (!starts_with(reply, "ok cc-hello")) return;
   p.out = std::move(conn);
-  for (const std::string& line : spill) handle_ack_line(to, line);
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    handle_ack_line(to, lines[i]);
+  }
 }
 
 void SiteRunner::flush(SiteOutput out) {

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "distrib/site_core.hpp"
-#include "net/cluster.hpp"
+#include "net/line_io.hpp"
 #include "obs/stats.hpp"
 #include "service/journal.hpp"
 
@@ -84,6 +84,9 @@ class SiteRunner {
 
   bool setup();                 // WAL + listener + driver handshake
   bool pump(int timeout_ms);    // poll + dispatch all readable conns
+  /// The listener and every pre-hello conn, for a poll that must keep
+  /// answering inbound hellos.
+  void handshake_pollfds(std::vector<pollfd>& pfds) const;
   void handle_driver_line(const std::string& line);
   void handle_peer_line(unsigned from, const std::string& line);
   void handle_ack_line(unsigned to, const std::string& line);

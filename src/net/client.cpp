@@ -1,14 +1,5 @@
 #include "net/client.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -17,26 +8,9 @@
 
 namespace parulel::net {
 
-namespace {
-
-timeval to_timeval(std::uint64_t ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  return tv;
-}
-
-}  // namespace
-
 NetClient::~NetClient() { close(); }
 
-void NetClient::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  rbuf_.clear();
-}
+void NetClient::close() { conn_.close(); }
 
 bool NetClient::fail(std::string msg) {
   error_ = std::move(msg);
@@ -44,39 +18,9 @@ bool NetClient::fail(std::string msg) {
   return false;
 }
 
-bool NetClient::connect_with_timeout(const void* addr, std::size_t addr_len,
-                                     const std::string& where) {
-  // Bounded connect: flip to non-blocking, start the connect, poll for
-  // writability, read SO_ERROR for the verdict, flip back to blocking.
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd_, static_cast<const sockaddr*>(addr),
-                     static_cast<socklen_t>(addr_len));
-  if (rc != 0 && errno != EINPROGRESS) {
-    return fail("connect " + where + ": " + std::strerror(errno));
-  }
-  if (rc != 0) {
-    pollfd pfd{fd_, POLLOUT, 0};
-    do {
-      rc = ::poll(&pfd, 1, static_cast<int>(options_.connect_timeout_ms));
-    } while (rc < 0 && errno == EINTR);
-    if (rc == 0) {
-      timed_out_ = true;
-      return fail("connect " + where + ": timed out after " +
-                  std::to_string(options_.connect_timeout_ms) + "ms");
-    }
-    if (rc < 0) {
-      return fail("connect " + where + ": " + std::strerror(errno));
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &so_error, &len);
-    if (so_error != 0) {
-      return fail("connect " + where + ": " + std::strerror(so_error));
-    }
-  }
-  ::fcntl(fd_, F_SETFL, flags);
-  return true;
+Deadline NetClient::io_deadline() const {
+  return options_.io_timeout_ms == 0 ? kNoDeadline
+                                     : deadline_in(options_.io_timeout_ms);
 }
 
 bool NetClient::connect(const std::string& host, std::uint16_t port) {
@@ -85,30 +29,12 @@ bool NetClient::connect(const std::string& host, std::uint16_t port) {
   server_version_.clear();
   timed_out_ = false;
 
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) {
-    return fail(std::string("socket: ") + std::strerror(errno));
+  const int fd = dial_tcp(host, port, options_.connect_timeout_ms, &error_);
+  if (fd < 0) {
+    timed_out_ = errno == ETIMEDOUT;
+    return false;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return fail("bad address: " + host);
-  }
-  const std::string where = host + ":" + std::to_string(port);
-  if (options_.connect_timeout_ms > 0) {
-    if (!connect_with_timeout(&addr, sizeof(addr), where)) return false;
-  } else if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof(addr)) != 0) {
-    return fail("connect " + where + ": " + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  if (options_.io_timeout_ms > 0) {
-    const timeval tv = to_timeval(options_.io_timeout_ms);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
+  conn_ = LineConn(fd);
 
   // Versioned handshake: refuse to talk to a server speaking something
   // we don't. The current revision and the legacy one are both fine —
@@ -138,59 +64,27 @@ bool NetClient::connect(const std::string& host, std::uint16_t port) {
 }
 
 bool NetClient::send_line(std::string_view line) {
-  if (fd_ < 0) {
+  if (!conn_.valid()) {
     error_ = "not connected";
     return false;
   }
   timed_out_ = false;
-  std::string frame(line);
-  frame += '\n';
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        timed_out_ = true;
-        return fail("send: timed out");
-      }
-      return fail(std::string("send: ") + std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+  if (conn_.write_line(line, io_deadline())) return true;
+  timed_out_ = errno == ETIMEDOUT;
+  return fail(timed_out_ ? std::string("send: timed out")
+                         : std::string("send: ") + std::strerror(errno));
 }
 
 bool NetClient::read_line(std::string& out) {
-  for (;;) {
-    const std::size_t nl = rbuf_.find('\n');
-    if (nl != std::string::npos) {
-      out = rbuf_.substr(0, nl);
-      rbuf_.erase(0, nl + 1);
-      if (!out.empty() && out.back() == '\r') out.pop_back();
-      return true;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      rbuf_.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      timed_out_ = true;
-      return fail("recv: timed out");
-    }
-    return fail(n == 0 ? "connection closed by server"
-                       : std::string("recv: ") + std::strerror(errno));
-  }
+  if (conn_.wait_line(out, io_deadline())) return true;
+  timed_out_ = conn_.valid();
+  return fail(timed_out_ ? "recv: timed out" : "connection closed by server");
 }
 
 bool NetClient::read_response(Response& out) {
   out.status.clear();
   out.details.clear();
-  if (fd_ < 0) {
+  if (!conn_.valid()) {
     error_ = "not connected";
     return false;
   }

@@ -24,6 +24,8 @@
 #include <string_view>
 #include <vector>
 
+#include "net/line_io.hpp"
+
 namespace parulel::net {
 
 /// One command's reply: the status line (newline stripped) plus any
@@ -43,10 +45,10 @@ class NetClient {
     /// interactive or retried).
     std::uint64_t connect_timeout_ms = 0;
 
-    /// Per-send/recv timeout once connected (SO_SNDTIMEO/SO_RCVTIMEO);
-    /// 0 = block forever. A timed-out call fails the request and sets
-    /// timed_out() so retry loops can tell a slow server from a dead
-    /// one.
+    /// How long one line may take to send, or to arrive, once
+    /// connected; 0 = wait forever. A timed-out call fails the request
+    /// and sets timed_out() so retry loops can tell a slow server from a
+    /// dead one.
     std::uint64_t io_timeout_ms = 0;
   };
 
@@ -62,7 +64,7 @@ class NetClient {
   /// is closed on any failure.
   bool connect(const std::string& host, std::uint16_t port);
 
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return conn_.valid(); }
   void close();
 
   /// The version the server announced in `ok hello VERSION`.
@@ -86,12 +88,10 @@ class NetClient {
  private:
   bool read_line(std::string& out);
   bool fail(std::string msg);
-  bool connect_with_timeout(const void* addr, std::size_t addr_len,
-                            const std::string& where);
+  Deadline io_deadline() const;
 
   Options options_;
-  int fd_ = -1;
-  std::string rbuf_;
+  LineConn conn_;
   std::string server_version_;
   std::string error_;
   bool timed_out_ = false;

@@ -1,10 +1,6 @@
 #include "net/net_server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
@@ -24,6 +20,7 @@
 #include <filesystem>
 
 #include "distrib/faults.hpp"
+#include "net/line_io.hpp"
 #include "net/replication.hpp"
 #include "service/protocol.hpp"
 #include "support/error.hpp"
@@ -137,7 +134,7 @@ struct NetServer::Conn {
   std::uint64_t id = 0;  ///< server-unique; keys cross-shard conversations
   std::unique_ptr<service::ServeProtocol> protocol;
 
-  std::string rbuf;       ///< bytes received, not yet framed into lines
+  LineBuffer rbuf;        ///< bytes received, not yet framed into lines
   std::string wbuf;       ///< response bytes not yet written
   std::size_t woff = 0;   ///< consumed prefix of wbuf
 
@@ -145,7 +142,6 @@ struct NetServer::Conn {
   std::uint64_t hold_until_ms = 0;  ///< fault-injected response delay
   bool read_done = false;          ///< client half-closed (EOF seen)
   bool closing = false;            ///< flush wbuf, then close
-  bool skipping_oversize = false;  ///< discarding up to the next newline
   bool dead = false;               ///< swept by the event loop
   bool awaiting_forward = false;   ///< parked: a line is executing on its
                                    ///< session's home shard
@@ -357,37 +353,9 @@ service::RuleService& NetServer::shard_service(unsigned i) {
 }
 
 bool NetServer::start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) {
-    error_ = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    error_ = "bad bind address: " + config_.host;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    error_ = "bind " + config_.host + ":" + std::to_string(config_.port) +
-             ": " + std::strerror(errno);
-    return false;
-  }
-  if (::listen(listen_fd_, config_.backlog) != 0) {
-    error_ = std::string("listen: ") + std::strerror(errno);
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
+  listen_fd_ = listen_tcp(config_.host, config_.port, config_.backlog, &port_,
+                          &error_);
+  if (listen_fd_ < 0) return false;
 
   int pipefds[2];
   if (::pipe2(pipefds, O_NONBLOCK | O_CLOEXEC) != 0) {
@@ -511,8 +479,7 @@ void NetServer::post(unsigned shard, Msg msg) {
 
 void NetServer::accept_ready() {
   for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = accept_conn(listen_fd_);
     if (fd < 0) return;  // EAGAIN (or a transient error): done for now
     if (live_conns_.load(std::memory_order_relaxed) >=
         config_.max_connections) {
@@ -524,13 +491,10 @@ void NetServer::accept_ready() {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.rejected_full;
       }
-      [[maybe_unused]] ssize_t n =
-          ::write(fd, kServerFull.data(), kServerFull.size());
+      write_all(fd, kServerFull, deadline_in(0));
       ::close(fd);
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     live_conns_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -555,9 +519,7 @@ void NetServer::run() {
   while (!draining_) {
     pfds[0] = {stop_read_fd_, POLLIN, 0};
     pfds[1] = {listen_fd_, POLLIN, 0};
-    const int ready = ::poll(pfds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
+    if (poll_until(pfds, kNoDeadline) < 0) {
       {
         std::lock_guard<std::mutex> lock(error_mutex_);
         error_ = std::string("poll: ") + std::strerror(errno);
@@ -628,6 +590,7 @@ void NetServer::Shard::handle_msg(Msg& msg) {
     case Msg::Kind::NewConn: {
       auto conn = std::make_unique<Conn>();
       conn->fd = msg.fd;
+      conn->rbuf = LineBuffer(server->config_.max_line_bytes);
       conn->id = msg.conn_id;
       service::ServeProtocol::Options popts;
       popts.echo = server->config_.echo;
@@ -888,25 +851,16 @@ void NetServer::Shard::handle_repl_hello(Conn& conn, std::string_view line) {
   const int fd = conn.fd;
   conn.fd = -1;
   conn.dead = true;
-  const int fl = ::fcntl(fd, F_GETFL, 0);
-  if (fl >= 0) ::fcntl(fd, F_SETFL, fl & ~O_NONBLOCK);
+  set_nonblocking(fd, false);
   std::string response = conn.wbuf.substr(conn.woff);
   response += "ok repl-hello ";
   response += service::ServeProtocol::kProtocolVersion;
   response += '\n';
   conn.wbuf.clear();
   conn.woff = 0;
-  const char* p = response.data();
-  std::size_t left = response.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  if (!write_all(fd, response)) {
+    ::close(fd);
+    return;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex);
@@ -980,35 +934,13 @@ void NetServer::Shard::execute_local(Conn& conn, std::string_view line,
 }
 
 void NetServer::Shard::process_lines(Conn& conn) {
+  std::string_view line;
   while (!conn.closing && !conn.dead && !conn.awaiting_forward) {
-    if (conn.skipping_oversize) {
-      const std::size_t nl = conn.rbuf.find('\n');
-      if (nl == std::string::npos) {
-        conn.rbuf.clear();
-        return;
-      }
-      conn.rbuf.erase(0, nl + 1);
-      conn.skipping_oversize = false;
-      continue;
-    }
-    const std::size_t nl = conn.rbuf.find('\n');
-    if (nl == std::string::npos) {
-      if (conn.rbuf.size() > server->config_.max_line_bytes) {
-        // The line already exceeds the cap with no end in sight:
-        // answer now, discard until the newline eventually arrives.
-        conn.rbuf.clear();
-        conn.skipping_oversize = true;
-        conn.wbuf += kLineTooLong;
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        ++stats.oversize_lines;
-      }
-      return;
-    }
-    std::string line = conn.rbuf.substr(0, nl);
-    conn.rbuf.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const LineBuffer::Frame frame = conn.rbuf.next(line);
+    if (frame == LineBuffer::Frame::None) return;
     conn.last_active_ms = now_ms();
-    if (line.size() > server->config_.max_line_bytes) {
+    if (frame == LineBuffer::Frame::TooLong) {
+      // Answered once; the framer discards the line up to its newline.
       conn.wbuf += kLineTooLong;
       std::lock_guard<std::mutex> lock(stats_mutex);
       ++stats.oversize_lines;
@@ -1019,11 +951,9 @@ void NetServer::Shard::process_lines(Conn& conn) {
 }
 
 void NetServer::Shard::conn_readable(Conn& conn) {
-  char buf[4096];
   for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+    const ssize_t n = read_some(conn.fd, conn.rbuf);
     if (n > 0) {
-      conn.rbuf.append(buf, static_cast<std::size_t>(n));
       std::lock_guard<std::mutex> lock(stats_mutex);
       stats.bytes_in += static_cast<std::uint64_t>(n);
       continue;
@@ -1126,37 +1056,24 @@ void NetServer::Shard::loop() {
       polled.push_back(conn.get());
     }
 
-    int timeout = -1;
-    const std::uint64_t now = now_ms();
+    // Wake by the earliest of the drain deadline, an idle expiry and a
+    // fault hold's end; else block until a socket or the mailbox stirs.
+    Deadline wake = kNoDeadline;
+    auto wake_by = [&wake](std::uint64_t at_ms) {
+      wake = std::min(wake, Deadline(std::chrono::milliseconds(at_ms)));
+    };
     if (draining) {
-      if (!conns.empty()) {
-        timeout = drain_deadline > now ? static_cast<int>(drain_deadline - now)
-                                       : 0;
-      }
       // empty while draining: block on the wake pipe until Terminate
       // (or a Forward from a shard still draining its connections).
+      if (!conns.empty()) wake_by(drain_deadline);
     } else if (server->config_.idle_timeout_ms > 0) {
-      std::uint64_t next = server->config_.idle_timeout_ms;
       for (const auto& conn : conns) {
-        const std::uint64_t age = now - conn->last_active_ms;
-        const std::uint64_t left =
-            age >= server->config_.idle_timeout_ms
-                ? 0
-                : server->config_.idle_timeout_ms - age;
-        next = std::min(next, left);
-      }
-      timeout = static_cast<int>(next);
-    }
-    if (hold_wake != 0) {
-      const std::uint64_t left = hold_wake > now ? hold_wake - now : 0;
-      if (timeout < 0 || static_cast<std::uint64_t>(timeout) > left) {
-        timeout = static_cast<int>(left);
+        wake_by(conn->last_active_ms + server->config_.idle_timeout_ms);
       }
     }
+    if (hold_wake != 0) wake_by(hold_wake);
 
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
+    if (poll_until(pfds, wake) < 0) {
       // A shard's poll failing is a server-level failure: record it and
       // drain everything.
       {

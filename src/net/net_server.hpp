@@ -114,7 +114,7 @@ struct NetServerConfig {
   unsigned shards = 1;
 
   /// Longest accepted request line; longer ones are discarded up to the
-  /// next newline and answered with `err line-too-long`.
+  /// next newline and answered with `err line-too-long`. 0 = no cap.
   std::size_t max_line_bytes = 64 * 1024;
 
   /// Pending-write threshold past which new request lines are rejected

@@ -1,9 +1,6 @@
 #include "net/replication.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +14,7 @@
 #include <vector>
 
 #include "distrib/faults.hpp"
+#include "net/line_io.hpp"
 #include "service/journal.hpp"
 #include "support/hex.hpp"
 #include "support/read_file.hpp"
@@ -28,21 +26,9 @@ namespace {
 constexpr std::string_view kReplHello = "repl-hello parulel/2\n";
 constexpr std::string_view kReplHelloOk = "ok repl-hello parulel/2";
 
-/// Blocking full send; false on any failure.
-bool send_all(int fd, std::string_view data) {
-  const char* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// How long the applier waits for one dial to the primary before it
+/// backs off and redials.
+constexpr std::uint64_t kDialTimeoutMs = 2000;
 
 void fsync_parent_dir(const std::string& path) {
   const std::string dir =
@@ -121,22 +107,12 @@ void ReplicationHub::shutdown() {
 }
 
 void ReplicationHub::reader_loop(Conn* conn) {
-  std::string buf;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+  LineBuffer buf;
+  std::string_view line;
+  while (read_some(conn->fd, buf) > 0) {
+    while (buf.next(line) == LineBuffer::Frame::Line) {
       std::uint64_t ack = 0;
-      std::istringstream in(line);
+      std::istringstream in{std::string(line)};
       std::string cmd;
       in >> cmd >> ack;
       if (cmd != "repl-ack") continue;
@@ -170,7 +146,7 @@ void ReplicationHub::kill_locked() {
 }
 
 bool ReplicationHub::send_locked(const std::string& frame) {
-  if (!send_all(conn_->fd, frame)) {
+  if (!write_all(conn_->fd, frame)) {
     kill_locked();
     return false;
   }
@@ -346,33 +322,25 @@ void ReplicaApplier::loop() {
       std::scoped_lock lock(mutex_);
       if (stopping_) return;
     }
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd =
+        dial_tcp(config_.host, config_.port, kDialTimeoutMs, nullptr);
     bool served_stop = false;
     if (fd >= 0) {
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(config_.port);
-      if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) == 1 &&
-          ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-              0) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        {
-          std::scoped_lock lock(mutex_);
-          if (stopping_) {
-            ::close(fd);
-            return;
-          }
-          fd_ = fd;
+      {
+        std::scoped_lock lock(mutex_);
+        if (stopping_) {
+          ::close(fd);
+          return;
         }
-        served_stop = serve(fd);
-        {
-          std::scoped_lock lock(mutex_);
-          fd_ = -1;
-          if (link_up_) {
-            link_up_ = false;
-            last_up_ = std::chrono::steady_clock::now();
-          }
+        fd_ = fd;
+      }
+      served_stop = serve(fd);
+      {
+        std::scoped_lock lock(mutex_);
+        fd_ = -1;
+        if (link_up_) {
+          link_up_ = false;
+          last_up_ = std::chrono::steady_clock::now();
         }
       }
       ::close(fd);
@@ -387,23 +355,16 @@ void ReplicaApplier::loop() {
 }
 
 bool ReplicaApplier::serve(int fd) {
-  if (!send_all(fd, kReplHello)) return false;
-  std::string buf;
-  char chunk[65536];
+  if (!write_all(fd, kReplHello)) return false;
+  LineBuffer buf;
+  std::string_view line;
   bool handshaken = false;
   for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+    if (read_some(fd, buf) <= 0) {
       std::scoped_lock lock(mutex_);
       return stopping_;
     }
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+    while (buf.next(line) == LineBuffer::Frame::Line) {
       if (!handshaken) {
         if (line.rfind(kReplHelloOk, 0) != 0) return false;
         handshaken = true;
@@ -415,16 +376,16 @@ bool ReplicaApplier::serve(int fd) {
       std::uint64_t ship = 0;
       if (!apply_frame(line, &ship)) return false;
       if (ship != 0 &&
-          !send_all(fd, "repl-ack " + std::to_string(ship) + "\n")) {
+          !write_all(fd, "repl-ack " + std::to_string(ship) + "\n")) {
         return false;
       }
     }
   }
 }
 
-bool ReplicaApplier::apply_frame(const std::string& line,
+bool ReplicaApplier::apply_frame(std::string_view line,
                                  std::uint64_t* ship) {
-  std::istringstream in(line);
+  std::istringstream in{std::string(line)};
   std::string cmd;
   std::string name;
   std::uint64_t seq = 0;

@@ -46,6 +46,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/stats.hpp"
@@ -171,7 +172,7 @@ class ReplicaApplier {
   /// Serve one established connection until it fails; true = orderly
   /// stop requested, false = reconnect.
   bool serve(int fd);
-  bool apply_frame(const std::string& line, std::uint64_t* ship);
+  bool apply_frame(std::string_view line, std::uint64_t* ship);
 
   Config config_;
   std::function<bool(const std::string&)> is_promoted_;

@@ -770,9 +770,18 @@ RecoveryReport RuleService::recover_one(const std::string& path) {
     std::uint64_t prev_seq = 0;
     bool at_head = true;
     for (const std::string& payload : scan.payloads) {
-      switch (record_type(payload)) {
+      const RecordType type = record_type(payload);
+      switch (type) {
         case RecordType::Header:
           throw JournalError("duplicate header record");
+        case RecordType::SiteBatch:
+        case RecordType::SiteSnapshot:
+          // A cluster site WAL shares this framing but not this state
+          // machine; replaying it as a session would drop every batch.
+          throw JournalError(
+              std::string("holds a cluster ") +
+              record_kind_name(static_cast<std::uint8_t>(type)) +
+              " record; it is a site WAL, not a session journal");
         case RecordType::Snapshot: {
           if (!at_head) {
             throw JournalError("snapshot record not at journal head");

@@ -12,7 +12,6 @@
 // and driver config refusals.
 #include <gtest/gtest.h>
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -30,7 +29,7 @@
 #include "distrib/site_journal.hpp"
 #include "distrib/wire.hpp"
 #include "lang/parser.hpp"
-#include "net/cluster.hpp"
+#include "net/line_io.hpp"
 #include "service/journal.hpp"
 #include "support/error.hpp"
 #include "wm/fact.hpp"
@@ -291,7 +290,7 @@ TEST(ClusterProtocol, StrayAndZombieHellosAreFenced) {
   std::uint16_t port = 0;
   {
     std::string err;
-    const int fd = net::listen_tcp(0, &port, &err);
+    const int fd = net::listen_tcp("127.0.0.1", 0, 64, &port, &err);
     ASSERT_GE(fd, 0) << err;
     ::close(fd);
   }
@@ -312,20 +311,19 @@ TEST(ClusterProtocol, StrayAndZombieHellosAreFenced) {
     std::string err;
     int fd = -1;
     for (int tries = 0; tries < 100 && fd < 0; ++tries) {
-      fd = net::dial_tcp("127.0.0.1", port, &err, 1000);
+      fd = net::dial_tcp("127.0.0.1", port, 1000, &err);
       if (fd < 0) ::usleep(20'000);
     }
     EXPECT_GE(fd, 0) << err;
     return net::LineConn(fd);
   };
+  // The first reply line, then whatever rode in with it.
   auto read_one = [](net::LineConn& conn) {
     std::vector<std::string> lines;
-    for (int tries = 0; tries < 200 && lines.empty(); ++tries) {
-      if (!conn.read_lines(lines) && lines.empty()) break;
-      if (lines.empty()) {
-        pollfd pfd{conn.fd(), POLLIN, 0};
-        ::poll(&pfd, 1, 50);
-      }
+    std::string first;
+    if (conn.wait_line(first, net::deadline_in(10'000))) {
+      lines.push_back(std::move(first));
+      conn.read_lines(lines);
     }
     return lines;
   };
@@ -399,11 +397,11 @@ TEST(ClusterProtocol, StrayAndZombieHellosAreFenced) {
         }
       }
       if (!alive || !running) break;
-      {
-        pollfd pfd{conn.fd(), POLLIN, 0};
-        ::poll(&pfd, 1, 50);
-      }
       lines.clear();
+      std::string line;
+      if (conn.wait_line(line, net::deadline_in(50))) {
+        lines.push_back(std::move(line));
+      }
       alive = conn.read_lines(lines);
     }
   };

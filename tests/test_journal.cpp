@@ -28,6 +28,8 @@
 #include <utility>
 #include <vector>
 
+#include "distrib/site_journal.hpp"
+#include "lang/parser.hpp"
 #include "service/journal.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
@@ -465,6 +467,37 @@ TEST(DurableProtocol, CorruptJournalQuarantinesAndFailsClosed) {
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(after, bytes);
   EXPECT_EQ(svc.journal_stats_snapshot().recovery_failures, 1u);
+}
+
+TEST(DurableProtocol, SiteWalInTheJournalDirQuarantines) {
+  // A cluster site's WAL shares the journal framing and header, so a
+  // service pointed at a cluster's --journal-dir finds it. Its records
+  // are site records, which a session cannot replay: recovery must
+  // refuse the file by name, not come back with the deffacts alone.
+  TempDir dir("site_wal");
+  const Program program = parse_program(kConsumeSource);
+  const auto& fact = program.initial_facts.front();
+  const std::string path = (dir.path / "site-0.wal").string();
+  {
+    auto journal = SessionJournal::create(path, "site-0", kConsumeSource,
+                                          /*fsync_writes=*/false, nullptr);
+    SiteBatchRecord rec;
+    rec.seq = 1;
+    rec.local.push_back({ClusterOp::Kind::Assert, fact.tmpl, fact.slots});
+    journal->append(
+        encode_site_batch(rec, *program.symbols, program.schema));
+  }
+
+  RuleService svc(durable_config(dir));
+  const std::vector<RecoveryReport> reports = svc.recover_journals();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_FALSE(reports[0].ok);
+  EXPECT_NE(reports[0].error.find("site WAL"), std::string::npos)
+      << reports[0].error;
+  EXPECT_EQ(svc.journal_stats_snapshot().recovery_failures, 1u);
+  ServeProtocol proto(svc);
+  EXPECT_NE(drive(proto, "resume site-0").find("journal-corrupt"),
+            std::string::npos);
 }
 
 TEST(DurableProtocol, CloseUnlinksTheJournal) {

@@ -35,13 +35,14 @@
 #include <vector>
 
 #include "net/client.hpp"
-#include "net/cluster.hpp"
+#include "net/line_io.hpp"
 #include "net/net_server.hpp"
 #include "net/replication.hpp"
 #include "net/retry_client.hpp"
 #include "service/protocol.hpp"
 #include "service/serve.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace parulel::net {
 namespace {
@@ -149,6 +150,103 @@ struct RawClient {
     }
   }
 };
+
+// ------------------------------------------------------------ framing
+
+/// What a framer must deliver for `transcript`: split on '\n', one
+/// trailing '\r' stripped, the unterminated tail withheld. With a cap,
+/// each over-cap line is one kTooLong entry instead.
+constexpr std::string_view kTooLong = "<too-long>";
+
+std::vector<std::string> reference_split(std::string_view transcript,
+                                         std::size_t cap) {
+  std::vector<std::string> out;
+  std::size_t at = 0;
+  for (std::size_t nl; (nl = transcript.find('\n', at)) != transcript.npos;
+       at = nl + 1) {
+    std::string_view line = transcript.substr(at, nl - at);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    out.emplace_back(cap != 0 && line.size() > cap ? kTooLong : line);
+  }
+  return out;
+}
+
+TEST(LineFraming, RandomChunkingsMatchTheReferenceSplit) {
+  constexpr std::size_t kCap = 1000;
+  const std::string cap_line(kCap, 'c');
+  const std::string transcript =
+      "hello\r\n"                            // CRLF
+      "\n\r\n"                               // two empty lines
+      "cr\r\r\n"                             // only ONE '\r' is stripped
+      "mid\rdle\n" +                         // an inner '\r' stays
+      std::string(1 << 20, 'm') + "\n" +      // 1 MiB
+      cap_line + "\r\n" +                    // exactly at the cap (CRLF)
+      cap_line + "\n" +                       // exactly at the cap
+      cap_line + "x\n" +                      // cap + 1
+      cap_line + "x\r\n" +                   // cap + 1 (CRLF)
+      "after\n"                              // resync after an over-cap
+      "unterminated tail";
+  const std::size_t tail = std::string_view("unterminated tail").size();
+
+  for (const std::size_t cap : {std::size_t{0}, kCap}) {
+    const std::vector<std::string> want = reference_split(transcript, cap);
+    ASSERT_EQ(want.size(), 11u);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed);
+      for (int chunking = 0; chunking < 40; ++chunking) {
+        // Chunk sizes from single bytes to whole megabytes.
+        constexpr std::size_t kMaxChunk[] = {3, 64, 4097, 70'000, 3 << 20};
+        const std::size_t max_chunk = kMaxChunk[rng.below(5)];
+        LineBuffer framer(cap);
+        std::vector<std::string> got;
+        std::string_view line;
+        for (std::size_t at = 0; at < transcript.size();) {
+          const std::size_t n = std::min<std::size_t>(
+              1 + rng.below(max_chunk), transcript.size() - at);
+          framer.append(std::string_view(transcript).substr(at, n));
+          at += n;
+          for (LineBuffer::Frame f; (f = framer.next(line)) !=
+                                    LineBuffer::Frame::None;) {
+            got.emplace_back(f == LineBuffer::Frame::TooLong ? kTooLong
+                                                             : line);
+          }
+        }
+        ASSERT_EQ(got, want) << "cap=" << cap << " seed=" << seed
+                             << " chunking=" << chunking;
+        EXPECT_EQ(framer.pending(), tail);
+      }
+    }
+  }
+}
+
+TEST(LineFraming, WaitLineKeepsLaterLinesAndHonoursTheDeadline) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineConn conn(fds[0]);
+  ASSERT_TRUE(write_all(fds[1], "one\ntwo\r\nthr"));
+  std::string line;
+  ASSERT_TRUE(conn.wait_line(line, deadline_in(5'000)));
+  EXPECT_EQ(line, "one");
+  // "two" rode in with "one": it waits in the buffer, not on the socket.
+  std::vector<std::string> rest;
+  EXPECT_TRUE(conn.read_lines(rest));
+  EXPECT_EQ(rest, std::vector<std::string>{"two"});
+
+  // A partial line is not a line: the wait ends at its deadline, and
+  // the connection stays open.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(conn.wait_line(line, deadline_in(100)));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+  EXPECT_TRUE(conn.valid());
+
+  ASSERT_TRUE(write_all(fds[1], "ee\n"));
+  ASSERT_TRUE(conn.wait_line(line, deadline_in(5'000)));
+  EXPECT_EQ(line, "three");
+  ::close(fds[1]);
+  EXPECT_FALSE(conn.wait_line(line, deadline_in(5'000)));
+  EXPECT_FALSE(conn.valid());
+}
 
 // ------------------------------------------------------------ handshake
 
@@ -1005,7 +1103,7 @@ TEST(Replication, BadHexTokenFailsClosed) {
   // a resync). A fake primary plays the other end.
   std::uint16_t port = 0;
   std::string err;
-  const int listen_fd = listen_tcp(0, &port, &err);
+  const int listen_fd = listen_tcp("127.0.0.1", 0, 64, &port, &err);
   ASSERT_GE(listen_fd, 0) << err;
   const std::string dir = fresh_journal_dir("bad_hex_replica");
   ReplicaApplier applier({.host = "127.0.0.1", .port = port,
